@@ -77,9 +77,6 @@ def adamw_step(params, state: AdamWState, config: TrainConfig) -> None:
         p.data -= lr * mhat / (np.sqrt(vhat) + config.eps)
 
 
-cross_entropy = T.cross_entropy
-
-
 # --------------------------------------------------------------------------
 # metrics
 # --------------------------------------------------------------------------

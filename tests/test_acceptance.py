@@ -133,6 +133,7 @@ def reduced_corpus():
     return dataset.split(dataset.generate(0, REDUCED_CONFIG.input_length), 0)
 
 
+@pytest.mark.slow
 def test_criterion_6_protocol_reproduction(reduced_corpus):
     counts = [reduced_corpus.class_counts()[c] for c in range(1, 11)]
     assert counts == [121, 180, 158, 120, 124, 84, 80, 113, 112, 120]

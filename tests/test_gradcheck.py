@@ -22,6 +22,23 @@ def test_depthwise_conv():
     assert err <= 1e-5
 
 
+def test_depthwise_conv_strided_unpadded():
+    err = gradcheck(
+        lambda x, w: T.conv1d(x, w, stride=2, padding=0, groups=3),
+        [_rand((2, 3, 13), 10), _rand((3, 1, 4), 11)])
+    assert err <= 1e-5
+
+
+def test_eval_batchnorm():
+    state = T.BnState(3)
+    state.mean[:] = [0.5, -1.0, 2.0]
+    state.var[:] = [0.25, 2.0, 1.5]
+    err = gradcheck(
+        lambda x, g, b: T.batchnorm1d(x, g, b, state, mode="eval"),
+        [_rand((2, 3, 5), 12), _rand((3,), 13), _rand((3,), 14)])
+    assert err <= 1e-5
+
+
 def test_composite_chain_vs_finite_differences():
     def chain(x, w, g, b):
         y = T.conv1d(x, w, stride=1, padding=1)

@@ -1,3 +1,5 @@
+import platform
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -72,6 +74,69 @@ class TestConv1d:
                      stride=1, padding=2).data
             for j in range(c)])
         npt.assert_allclose(out.data, per_channel, atol=1e-12)
+
+    @pytest.mark.parametrize("block_samples", [None, 1, 2])
+    def test_depthwise_path_matches_oracle(self, monkeypatch, block_samples):
+        rng = np.random.Generator(np.random.Philox(key=11))
+        c = 3
+        for k in (1, 3, 4, 7):
+            for stride in (1, 2, 3):
+                for pad in range(k + 1):
+                    n = int(rng.integers(max(1, k - 2 * pad), 20))
+                    n_out = (n + 2 * pad - k) // stride + 1
+                    if block_samples is not None:
+                        monkeypatch.setattr(T, "_DEPTHWISE_BLOCK",
+                                            block_samples * c * n_out)
+                    w = rng.standard_normal((c, 1, k))
+                    x = rng.standard_normal((c, n))
+                    out = T.conv1d(Tensor(x), Tensor(w), stride=stride,
+                                   padding=pad, groups=c)
+                    npt.assert_allclose(
+                        out.data, naive_conv1d(x, w, None, stride, pad, c),
+                        atol=1e-12)
+                    xb = rng.standard_normal((3, c, n))
+                    out = T.conv1d(Tensor(xb), Tensor(w), stride=stride,
+                                   padding=pad, groups=c)
+                    for i in range(3):
+                        npt.assert_allclose(
+                            out.data[i],
+                            naive_conv1d(xb[i], w, None, stride, pad, c),
+                            atol=1e-12)
+
+    def test_depthwise_grads_same_for_any_batch_block(self, monkeypatch):
+        rng = np.random.Generator(np.random.Philox(key=12))
+        x = Tensor(rng.standard_normal((5, 4, 17)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 1, 5)), requires_grad=True)
+        gy = rng.standard_normal((5, 4, 8))
+
+        def grads():
+            y = T.conv1d(x, w, stride=2, padding=1, groups=4)
+            T.backward(T.tsum(T.mul(y, Tensor(gy))))
+            out = x.grad, w.grad
+            x.grad = w.grad = None
+            return out
+
+        gx, gw = grads()
+        monkeypatch.setattr(T, "_DEPTHWISE_BLOCK", 2 * 4 * 8)
+        gx2, gw2 = grads()
+        npt.assert_allclose(gx2, gx, atol=1e-12)
+        npt.assert_allclose(gw2, gw, atol=1e-12)
+
+    def test_depthwise_empty_batch(self):
+        x = Tensor(np.zeros((0, 3, 10)), requires_grad=True)
+        w = Tensor(np.ones((3, 1, 3)), requires_grad=True)
+        y = T.conv1d(x, w, padding=1, groups=3)
+        assert y.shape == (0, 3, 10)
+        T.backward(T.tsum(y))
+        assert x.grad.shape == (0, 3, 10) and not w.grad.any()
+
+    def test_channel_multiplier_depthwise_matches_oracle(self):
+        rng = np.random.Generator(np.random.Philox(key=13))
+        x = rng.standard_normal((3, 14))
+        w = rng.standard_normal((6, 1, 3))
+        out = T.conv1d(Tensor(x), Tensor(w), stride=2, padding=1, groups=3)
+        npt.assert_allclose(out.data, naive_conv1d(x, w, None, 2, 1, 3),
+                            atol=1e-12)
 
     def test_grouped_matches_oracle(self):
         rng = np.random.Generator(np.random.Philox(key=10))
@@ -241,3 +306,23 @@ class TestMiscOps:
         for out in (T.gelu(x), T.softmax(x, axis=-1),
                     T.layer_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8)))):
             assert np.isfinite(out.data).all()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="sets glibc malloc thresholds only")
+def test_freed_step_memory_is_reused_without_faults():
+    # 80 MB of 4-MB blocks, more than twice glibc's dynamic mmap threshold
+    # can reach, so without fixed thresholds the freed heap is trimmed
+    import resource
+
+    def minor_faults():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    rounds = []
+    for _ in range(4):
+        before = minor_faults()
+        blocks = [np.ones(1 << 19) for _ in range(20)]
+        del blocks
+        rounds.append(minor_faults() - before)
+    pages = 20 * (1 << 19) * 8 // 4096
+    assert max(rounds[1:]) < pages // 10, rounds
