@@ -113,11 +113,6 @@ class SampleSet:
     def indices(self, part: str) -> np.ndarray:
         return np.flatnonzero(self.split == part)
 
-    def subset(self, part: str) -> "SampleSet":
-        idx = self.indices(part)
-        return SampleSet(self.waveforms[idx], self.labels[idx],
-                         self.split[idx].copy())
-
 
 def _sample_stream(seed: int, index: int) -> np.random.Generator:
     key = np.array([seed, index], dtype=np.uint64)

@@ -8,7 +8,7 @@ well-formed; stride (if any) is applied in the depthwise stage only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import tensor as T
 from .layers import BatchNorm1d, Conv1d, ParamInitializer

@@ -27,6 +27,15 @@ from .tensor import ConfigurationError, Tensor
 
 CHECKPOINT_MAGIC = b"LDRPM1"
 
+# Input elements per eval-mode forward block: 4 samples at the default
+# input length, whose widest activation (stage 0's branch concat) is then
+# 6 MiB.  Whole-batch activations above glibc's 32-MiB mmap threshold are
+# mapped and faulted in afresh on every call (a default-config batch-64
+# forward took 258k minor faults); a block's are reused from the heap.  On
+# a 2-core Xeon VM, blocks of 2-4 default-config samples ran fastest and
+# 32 or more faulted; REDUCED_CONFIG blocks of 8-64 ran alike.
+_EVAL_BLOCK = 1 << 15
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -195,12 +204,31 @@ class Network:
 
     # -- forward ----------------------------------------------------------
     def forward(self, x: Tensor, mode: str = "eval") -> Tensor:
+        """Logits [B, num_classes] of input [B, 1, input_length].
+
+        An eval-mode forward of an input that needs no gradient runs over
+        blocks of max(1, _EVAL_BLOCK // input_length) samples and joins
+        their logits; eval mode treats every sample on its own, so the
+        result is that of one pass.  Train mode runs as one pass, because
+        its BatchNorm normalizes by whole-batch statistics, and so does an
+        input with requires_grad, as re-wrapping its slices would cut its
+        gradient.
+        """
         if x.ndim != 3 or x.shape[1] != 1:
             raise T.DimensionError(f"expected input [B, 1, N], got {x.shape}")
         if x.shape[2] != self.config.input_length:
             raise T.DimensionError(
                 f"input length {x.shape[2]} != configured "
                 f"{self.config.input_length}")
+        step = x.shape[0]
+        if mode == "eval" and not x.requires_grad:
+            step = max(1, _EVAL_BLOCK // x.shape[2])
+        if step >= x.shape[0]:
+            return self._logits(x, mode)
+        return T.concat([self._logits(Tensor(x.data[lo:lo + step]), mode)
+                         for lo in range(0, x.shape[0], step)], axis=0)
+
+    def _logits(self, x: Tensor, mode: str) -> Tensor:
         y = T.gelu(self.stem_bn.forward(self.stem.forward(x), mode))
         for blk, pool in self.stages:
             y = blk.forward(y, mode)
@@ -239,7 +267,16 @@ class Network:
                 + [(f"buffer.{n}", b) for n, b in self.buffers()])
 
     def load_state_arrays(self, arrays: dict) -> None:
-        for name, dst in self.state_arrays():
+        """Copy named arrays into the network; the names must match exactly."""
+        state = self.state_arrays()
+        names = {name for name, _ in state}
+        missing = [name for name, _ in state if name not in arrays]
+        extra = sorted(set(arrays) - names)
+        if missing or extra:
+            raise ValueError(
+                f"checkpoint tensors do not match the network: "
+                f"missing {missing}, extra {extra}")
+        for name, dst in state:
             src = arrays[name]
             if src.shape != dst.shape:
                 raise T.DimensionError(
@@ -326,6 +363,9 @@ def load_checkpoint(path) -> Network:
         shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(rank))
         size = int(np.prod(shape)) if shape else 1
         arrays[name] = np.frombuffer(take(8 * size), dtype="<f8").reshape(shape).copy()
+    if off != len(blob):
+        raise ValueError(
+            f"{len(blob) - off} trailing bytes after the last checkpoint tensor")
     net = build(cfg, seed=0)
     net.load_state_arrays(arrays)
     return net

@@ -13,6 +13,7 @@ the primitives in this module.  Design points:
   (see `_keep_freed_heap`).
 * conv1d takes a depthwise path when groups == C_in == C_out (every MDSC
   branch): k shifted multiply-adds over batch blocks, forward and backward.
+  A pointwise conv (k == 1, one group, stride 1, no padding) is one matmul.
   Every other grouping correlates strided windows with one einsum.
 """
 
@@ -443,8 +444,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     if x.shape[-1] != weight.shape[-1]:
         raise DimensionError(
             f"linear input feature axis {x.shape[-1]} != weight in-axis {weight.shape[-1]}")
-    y = matmul(x, transpose(weight, (1, 0))) if x.ndim >= 2 else None
-    if y is None:
+    if x.ndim >= 2:
+        y = matmul(x, transpose(weight, (1, 0)))
+    else:
         y = matmul(reshape(x, (1, -1)), transpose(weight, (1, 0)))
         y = reshape(y, (weight.shape[0],))
     if bias is not None:
@@ -469,15 +471,19 @@ def max_pool1d(a: Tensor, kernel: int) -> Tensor:
     if n_out < 1:
         raise DimensionError(f"pool kernel {kernel} exceeds input length {n}")
     lead = a.shape[:-1]
-    win = a.data[..., : n_out * kernel].reshape(lead + (n_out, kernel))
-    idx = win.argmax(axis=-1)
-    out = _out(np.take_along_axis(win, idx[..., None], axis=-1)[..., 0])
+    m = n_out * kernel
+    y = a.data[..., 0:m:kernel].copy()
+    for j in range(1, kernel):
+        np.maximum(y, a.data[..., j:m:kernel], out=y)
+    out = _out(y)
 
     def bwd(g):
+        # the gradient goes to the first maximum of each window
+        idx = a.data[..., :m].reshape(lead + (n_out, kernel)).argmax(axis=-1)
         gw = np.zeros(lead + (n_out, kernel))
         np.put_along_axis(gw, idx[..., None], g[..., None], axis=-1)
         gx = np.zeros(a.shape)
-        gx[..., : n_out * kernel] = gw.reshape(lead + (n_out * kernel,))
+        gx[..., :m] = gw.reshape(lead + (m,))
         return (gx,)
 
     return _record(out, (a,), bwd)
@@ -620,8 +626,10 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     groups == C_in gives the depthwise case.  When also C_out == C_in, the
     forward adds k shifted slices of the input, each scaled by its
     per-channel tap, and the backward scatters the same slices back; no
-    window copy or zero padding is made.  Any other grouping (C_out a
-    multiple of C_in included) goes through the grouped-window einsum.
+    window copy or zero padding is made.  A pointwise conv (k == 1,
+    groups == 1, stride 1, padding 0) is the matmul weight[:, :, 0] @ x.
+    Any other grouping (C_out a multiple of C_in included) goes through the
+    grouped-window einsum.
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
     squeeze = x.ndim == 2
@@ -653,6 +661,13 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
 
         def bwd(g):
             return _depthwise_grads(x3.data, weight.data, g, stride, padding)
+    elif k == 1 and groups == 1 and stride == 1 and padding == 0:
+        w2 = weight.data[:, :, 0]
+        y = _out(w2 @ x3.data)
+
+        def bwd(g):
+            gw = (g @ np.swapaxes(x3.data, 1, 2)).sum(axis=0)
+            return w2.T @ g, gw[:, :, None]
     else:
         y = _out(_conv_raw(x3.data, weight.data, stride, padding, groups))
 

@@ -9,7 +9,7 @@ recall / F1, and a median per-sample inference time.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,14 +123,10 @@ def metrics_from_confusion(confusion: np.ndarray) -> MetricsReport:
 # training loop
 # --------------------------------------------------------------------------
 
-def _predict(net: Network, waveforms: np.ndarray, batch: int = 64) -> np.ndarray:
-    preds = np.empty(len(waveforms), dtype=np.int64)
+def _predict(net: Network, waveforms: np.ndarray) -> np.ndarray:
     with no_grad():
-        for lo in range(0, len(waveforms), batch):
-            x = Tensor(waveforms[lo:lo + batch][:, None, :])
-            logits = net.forward(x, mode="eval")
-            preds[lo:lo + batch] = logits.data.argmax(axis=1) + 1
-    return preds
+        logits = net.forward(Tensor(waveforms[:, None, :]), mode="eval")
+    return logits.data.argmax(axis=1) + 1
 
 
 def accuracy_on(net: Network, sample_set: SampleSet, part: str) -> float:

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from ldrpmnet.cli import cli_dispatch
+from ldrpmnet.model import ModelConfig, build, save_checkpoint
 
 SMALL_CONFIG = """\
 input_length = 1024
@@ -122,6 +123,19 @@ class TestTrainEval:
         out = capsys.readouterr().out
         assert out.startswith("accuracy,precision,recall,f1,inference_s")
         assert "confusion matrix" in out
+
+    def test_tampered_checkpoint_is_runtime_error(self, tmp_path, capsys):
+        data = _gen(tmp_path)
+        weights = os.path.join(tmp_path, "weights.bin")
+        save_checkpoint(build(ModelConfig(input_length=1024, stem=(4, 7, 2),
+                                          stages=((8, (3, 5), 4),),
+                                          encoder=(1, 8, 2, 2))), weights)
+        with open(weights, "rb") as f:
+            blob = f.read()
+        with open(weights, "wb") as f:
+            f.write(blob.replace(b"stem.weight", b"stem.wEight"))
+        assert cli_dispatch(["eval", "--weights", weights, "--data", data]) == 2
+        assert "stem.wEight" in capsys.readouterr().err
 
     def test_length_mismatch_is_runtime_error(self, tmp_path, capsys):
         data = _gen(tmp_path)

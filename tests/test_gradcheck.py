@@ -29,6 +29,13 @@ def test_depthwise_conv_strided_unpadded():
     assert err <= 1e-5
 
 
+def test_pointwise_conv():
+    err = gradcheck(
+        lambda x, w, b: T.conv1d(x, w, b),
+        [_rand((2, 3, 7), 15), _rand((4, 3, 1), 16), _rand((4,), 17)])
+    assert err <= 1e-5
+
+
 def test_eval_batchnorm():
     state = T.BnState(3)
     state.mean[:] = [0.5, -1.0, 2.0]

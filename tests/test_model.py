@@ -1,13 +1,15 @@
 import os
+import platform
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from ldrpmnet import model
 from ldrpmnet import tensor as T
 from ldrpmnet.mdsc import MdscConfig
-from ldrpmnet.model import (ModelConfig, Network, StandardMultiScaleBlock,
-                            build, build_preset, load_checkpoint,
+from ldrpmnet.model import (REDUCED_CONFIG, ModelConfig, Network,
+                            StandardMultiScaleBlock, build, build_preset, load_checkpoint,
                             save_checkpoint, standard_multiscale_param_count)
 from ldrpmnet.tensor import Tensor
 
@@ -68,6 +70,72 @@ class TestForward:
         with T.no_grad():
             logits = net.forward(Tensor(rng.standard_normal((2, 1, 256)))).data
         assert np.array_equal(logits.argmax(1), (logits + 11.5).argmax(1))
+
+
+class TestEvalBlocks:
+    """Eval-mode forwards in 2-sample blocks over batches of 5."""
+
+    @pytest.fixture(autouse=True)
+    def two_sample_blocks(self, monkeypatch):
+        monkeypatch.setattr(model, "_EVAL_BLOCK", 2 * SMALL.input_length)
+
+    def _batch(self, key):
+        rng = np.random.Generator(np.random.Philox(key=key))
+        return rng.standard_normal((5, 1, SMALL.input_length))
+
+    def test_blocks_equal_per_sample_forwards(self):
+        net = build(SMALL, seed=0)
+        x = self._batch(60)
+        with T.no_grad():
+            batched = net.forward(Tensor(x)).data
+            single = np.concatenate([net.forward(Tensor(x[i:i + 1])).data
+                                     for i in range(len(x))])
+        npt.assert_allclose(batched, single, rtol=0, atol=1e-12)
+
+    def test_train_mode_is_one_pass(self):
+        # running statistics start at mean 0; one update with momentum 0.1
+        net = build(SMALL, seed=0)
+        x = Tensor(self._batch(61))
+        with T.no_grad():
+            stem = net.stem.forward(x).data
+            net.forward(x, mode="train")
+        npt.assert_allclose(net.stem_bn.state.mean,
+                            0.1 * stem.mean(axis=(0, 2)), rtol=0, atol=1e-12)
+
+    def test_input_gradient_kept(self):
+        net = build(SMALL, seed=0)
+        x = Tensor(self._batch(62), requires_grad=True)
+        T.backward(T.tsum(net.forward(x, mode="eval")))
+        assert x.grad is not None
+        assert (np.abs(x.grad).sum(axis=(1, 2)) > 0).all()
+
+    def test_blocked_forward_backpropagates_to_parameters(self, monkeypatch):
+        def grads(net):
+            T.backward(T.tsum(net.forward(Tensor(self._batch(63)), mode="eval")))
+            return [p.grad for _, p in net.parameters()]
+
+        blocked = grads(build(SMALL, seed=0))
+        monkeypatch.setattr(model, "_EVAL_BLOCK", 5 * SMALL.input_length)
+        for a, b in zip(blocked, grads(build(SMALL, seed=0))):
+            npt.assert_allclose(a, b, rtol=0, atol=1e-10)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="needs glibc's fixed malloc thresholds")
+def test_eval_forward_reuses_memory_without_faults():
+    # unblocked, the stage-0 branch concat of 256 samples is 50 MB, above
+    # the 32-MiB mmap threshold, and is faulted in on every call
+    import resource
+
+    rng = np.random.Generator(np.random.Philox(key=64))
+    net = build_preset("ld-rpmnet", base=REDUCED_CONFIG, seed=0)
+    x = Tensor(rng.standard_normal((256, 1, REDUCED_CONFIG.input_length)))
+    with T.no_grad():
+        net.forward(x)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        net.forward(x)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 1000, faults
 
 
 class TestStandardBlock:
@@ -152,4 +220,32 @@ class TestCheckpoint:
         with open(path, "wb") as f:
             f.write(blob[:len(blob) // 2])
         with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+
+    def _saved(self, tmp_path):
+        path = os.path.join(tmp_path, "weights.bin")
+        save_checkpoint(build(SMALL, seed=0), path)
+        with open(path, "rb") as f:
+            return path, f.read()
+
+    def test_renamed_tensor(self, tmp_path):
+        path, blob = self._saved(tmp_path)
+        with open(path, "wb") as f:
+            f.write(blob.replace(b"stem.weight", b"stem.wEight"))
+        with pytest.raises(ValueError, match=r"missing \['stem.weight'\], "
+                                             r"extra \['stem.wEight'\]"):
+            load_checkpoint(path)
+
+    def test_missing_tensor(self):
+        net = build(SMALL, seed=0)
+        arrays = dict(net.state_arrays())
+        del arrays["head.bias"]
+        with pytest.raises(ValueError, match=r"missing \['head.bias'\]"):
+            net.load_state_arrays(arrays)
+
+    def test_trailing_bytes(self, tmp_path):
+        path, blob = self._saved(tmp_path)
+        with open(path, "wb") as f:
+            f.write(blob + b"\0")
+        with pytest.raises(ValueError, match="1 trailing bytes"):
             load_checkpoint(path)

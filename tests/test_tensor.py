@@ -138,6 +138,19 @@ class TestConv1d:
         npt.assert_allclose(out.data, naive_conv1d(x, w, None, 2, 1, 3),
                             atol=1e-12)
 
+    def test_pointwise_path_matches_oracle(self):
+        rng = np.random.Generator(np.random.Philox(key=13))
+        for cin, cout in ((1, 1), (3, 4), (6, 2)):
+            x = rng.standard_normal((3, cin, 11))
+            w = rng.standard_normal((cout, cin, 1))
+            b = rng.standard_normal(cout)
+            out = T.conv1d(Tensor(x), Tensor(w), Tensor(b))
+            for i in range(3):
+                npt.assert_allclose(out.data[i], naive_conv1d(x[i], w, b, 1, 0),
+                                    atol=1e-12)
+            npt.assert_allclose(T.conv1d(Tensor(x[0]), Tensor(w)).data,
+                                naive_conv1d(x[0], w, None, 1, 0), atol=1e-12)
+
     def test_grouped_matches_oracle(self):
         rng = np.random.Generator(np.random.Philox(key=10))
         x = rng.standard_normal((4, 15))
@@ -288,6 +301,13 @@ class TestMiscOps:
     def test_max_pool(self):
         x = Tensor(np.array([[[1.0, 3, 2, 5, 4, 0]]]))
         npt.assert_array_equal(T.max_pool1d(x, 2).data, [[[3, 5, 4]]])
+
+    def test_max_pool_ties_route_to_first_maximum(self):
+        x = Tensor(np.array([[[2.0, 2, 1, 1, 0, 3, 3, 3, 5]]]), requires_grad=True)
+        y = T.max_pool1d(x, 2)
+        npt.assert_array_equal(y.data, [[[2, 1, 3, 3]]])
+        T.backward(T.tsum(T.mul(y, Tensor(np.array([[[1.0, 2, 3, 4]]])))))
+        npt.assert_array_equal(x.grad, [[[1, 0, 2, 0, 0, 3, 4, 0, 0]]])
 
     def test_determinism(self):
         rng = np.random.Generator(np.random.Philox(key=15))
