@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__, config as config_mod, dataset
-from .gradcheck import standard_suite
+from .gradcheck import SUITE_NAMES, standard_suite
 from .model import (MODEL_PRESETS, ModelConfig, build_preset,
                     load_checkpoint, save_checkpoint)
 from .train import (TrainConfig, ablate, ablation_csv, evaluate, trace_csv,
@@ -148,12 +148,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    results = standard_suite(seed=args.seed)
-    if args.op is not None:
-        if args.op not in results:
-            raise CliError(
-                f"unknown op {args.op!r}; choose from {sorted(results)}")
-        results = {args.op: results[args.op]}
+    results = standard_suite(seed=args.seed, only=args.op)
     worst_name = max(results, key=results.get)
     for name in sorted(results):
         status = "ok" if results[name] <= GRADCHECK_TOLERANCE else "FAIL"
@@ -227,7 +222,9 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_count)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
-    p.add_argument("--op", help="run a single named check")
+    p.add_argument("--op", choices=SUITE_NAMES, metavar="NAME",
+                   help="run a single named check, one of: "
+                        + ", ".join(SUITE_NAMES))
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_gradcheck)
 

@@ -66,81 +66,89 @@ def _rand(rng, shape, requires_grad=True):
     return Tensor(rng.standard_normal(shape), requires_grad=requires_grad)
 
 
-def standard_suite(seed: int = 0) -> dict[str, float]:
+# Names of the `standard_suite` checks, in the order it runs them.
+SUITE_NAMES = (
+    "add", "mul", "matmul", "concat", "mean", "softmax", "gelu", "layer_norm",
+    "linear", "max_pool1d", "conv1d", "conv1d_depthwise", "batchnorm1d",
+    "cross_entropy", "mdsc_block", "standard_block", "bsa_block",
+    "mhsa_block", "full_network",
+)
+
+
+def standard_suite(seed: int = 0, only: str | None = None) -> dict[str, float]:
     """Named finite-difference checks over every primitive and block.
 
-    Returns {check name: max relative error}.  Block-level entries are added
-    lazily to avoid an import cycle at module load.
+    Returns {check name: max relative error}.  With `only`, every input is
+    still drawn in the same order but only that check runs, so its value
+    equals the full suite's.  Block-level entries are added lazily to avoid
+    an import cycle at module load.
     """
+    if only is not None and only not in SUITE_NAMES:
+        raise ValueError(f"unknown check {only!r}; choose from {SUITE_NAMES}")
     from .mdsc import MdscBlock, MdscConfig
     from .attention import BsaBlock, MhsaBlock
-    from .model import ModelConfig, build
+    from .model import ModelConfig, StandardMultiScaleBlock, build
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     results: dict[str, float] = {}
 
-    results["add"] = gradcheck(T.add, [_rand(rng, (3, 4)), _rand(rng, (3, 4))])
-    results["mul"] = gradcheck(T.mul, [_rand(rng, (3, 4)), _rand(rng, (1, 4))])
-    results["matmul"] = gradcheck(T.matmul, [_rand(rng, (3, 4)), _rand(rng, (4, 2))])
-    results["concat"] = gradcheck(
-        lambda a, b: T.concat([a, b], axis=0), [_rand(rng, (2, 3)), _rand(rng, (4, 3))])
-    results["mean"] = gradcheck(lambda a: T.mean(a, axis=1), [_rand(rng, (3, 5))])
-    results["softmax"] = gradcheck(lambda a: T.softmax(a, axis=-1), [_rand(rng, (4, 6))])
-    results["gelu"] = gradcheck(T.gelu, [_rand(rng, (4, 5))])
-    results["layer_norm"] = gradcheck(
-        T.layer_norm,
-        [_rand(rng, (3, 8)), _rand(rng, (8,)), _rand(rng, (8,))])
-    results["linear"] = gradcheck(
-        T.linear, [_rand(rng, (5, 4)), _rand(rng, (3, 4)), _rand(rng, (3,))])
-    results["max_pool1d"] = gradcheck(
-        lambda a: T.max_pool1d(a, 3), [_rand(rng, (2, 3, 9))])
-    results["conv1d"] = gradcheck(
-        lambda x, w, b: T.conv1d(x, w, b, stride=2, padding=2),
-        [_rand(rng, (2, 3, 12)), _rand(rng, (4, 3, 5)), _rand(rng, (4,))])
-    results["conv1d_depthwise"] = gradcheck(
-        lambda x, w: T.conv1d(x, w, stride=1, padding=2, groups=3),
-        [_rand(rng, (2, 3, 10)), _rand(rng, (3, 1, 5))])
+    def check(name, fn, tensors):
+        if only in (None, name):
+            results[name] = gradcheck(fn, tensors)
+
+    check("add", T.add, [_rand(rng, (3, 4)), _rand(rng, (3, 4))])
+    check("mul", T.mul, [_rand(rng, (3, 4)), _rand(rng, (1, 4))])
+    check("matmul", T.matmul, [_rand(rng, (3, 4)), _rand(rng, (4, 2))])
+    check("concat", lambda a, b: T.concat([a, b], axis=0),
+          [_rand(rng, (2, 3)), _rand(rng, (4, 3))])
+    check("mean", lambda a: T.mean(a, axis=1), [_rand(rng, (3, 5))])
+    check("softmax", lambda a: T.softmax(a, axis=-1), [_rand(rng, (4, 6))])
+    check("gelu", T.gelu, [_rand(rng, (4, 5))])
+    check("layer_norm", T.layer_norm,
+          [_rand(rng, (3, 8)), _rand(rng, (8,)), _rand(rng, (8,))])
+    check("linear", T.linear,
+          [_rand(rng, (5, 4)), _rand(rng, (3, 4)), _rand(rng, (3,))])
+    check("max_pool1d", lambda a: T.max_pool1d(a, 3), [_rand(rng, (2, 3, 9))])
+    check("conv1d", lambda x, w, b: T.conv1d(x, w, b, stride=2, padding=2),
+          [_rand(rng, (2, 3, 12)), _rand(rng, (4, 3, 5)), _rand(rng, (4,))])
+    check("conv1d_depthwise",
+          lambda x, w: T.conv1d(x, w, stride=1, padding=2, groups=3),
+          [_rand(rng, (2, 3, 10)), _rand(rng, (3, 1, 5))])
 
     def bn_train(x, g, b):
         return T.batchnorm1d(x, g, b, T.BnState(3), mode="train")
 
-    results["batchnorm1d"] = gradcheck(
-        bn_train, [_rand(rng, (2, 3, 6)), _rand(rng, (3,)), _rand(rng, (3,))])
+    check("batchnorm1d", bn_train,
+          [_rand(rng, (2, 3, 6)), _rand(rng, (3,)), _rand(rng, (3,))])
 
     def ce(logits):
         return T.cross_entropy(logits, np.array([1, 3, 2]))
 
-    results["cross_entropy"] = gradcheck(ce, [_rand(rng, (3, 4))])
+    check("cross_entropy", ce, [_rand(rng, (3, 4))])
 
     mdsc = MdscBlock(MdscConfig(in_channels=3, out_channels=4,
                                 kernel_sizes=(3, 5, 7), stride=1), seed=seed)
-    results["mdsc_block"] = gradcheck(
-        lambda x, *ps: mdsc.forward(x, mode="train"),
-        [_rand(rng, (2, 3, 16))] + [p for _, p in mdsc.parameters()])
+    check("mdsc_block", lambda x, *ps: mdsc.forward(x, mode="train"),
+          [_rand(rng, (2, 3, 16))] + [p for _, p in mdsc.parameters()])
 
-    from .model import StandardMultiScaleBlock
     std = StandardMultiScaleBlock(MdscConfig(in_channels=3, out_channels=4,
                                              kernel_sizes=(3, 5), stride=1), seed=seed)
-    results["standard_block"] = gradcheck(
-        lambda x, *ps: std.forward(x, mode="train"),
-        [_rand(rng, (2, 3, 12))] + [p for _, p in std.parameters()])
+    check("standard_block", lambda x, *ps: std.forward(x, mode="train"),
+          [_rand(rng, (2, 3, 12))] + [p for _, p in std.parameters()])
 
     bsa = BsaBlock(model_dim=8, seed=seed)
-    results["bsa_block"] = gradcheck(
-        lambda x, *ps: bsa.forward(x),
-        [_rand(rng, (2, 6, 8))] + [p for _, p in bsa.parameters()])
+    check("bsa_block", lambda x, *ps: bsa.forward(x),
+          [_rand(rng, (2, 6, 8))] + [p for _, p in bsa.parameters()])
 
     mhsa = MhsaBlock(model_dim=8, heads=2, seed=seed)
-    results["mhsa_block"] = gradcheck(
-        lambda x, *ps: mhsa.forward(x),
-        [_rand(rng, (2, 5, 8))] + [p for _, p in mhsa.parameters()])
+    check("mhsa_block", lambda x, *ps: mhsa.forward(x),
+          [_rand(rng, (2, 5, 8))] + [p for _, p in mhsa.parameters()])
 
     cfg = ModelConfig(conv_kind="mdsc", attn_kind="bsa", input_length=64,
                       stem=(4, 7, 2), stages=((8, (3, 5), 2),),
                       encoder=(1, 8, 2, 2), num_classes=10)
     net = build(cfg, seed=seed)
-    results["full_network"] = gradcheck(
-        lambda x, *ps: net.forward(x, mode="train"),
-        [_rand(rng, (2, 1, 64))] + [p for _, p in net.parameters()])
+    check("full_network", lambda x, *ps: net.forward(x, mode="train"),
+          [_rand(rng, (2, 1, 64))] + [p for _, p in net.parameters()])
 
     return results

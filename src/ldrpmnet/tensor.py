@@ -12,7 +12,9 @@ the primitives in this module.  Design points:
   process's malloc thresholds, which importing the module fixes on glibc
   (see `_keep_freed_heap`).
 * conv1d takes a depthwise path when groups == C_in == C_out (every MDSC
-  branch): k shifted multiply-adds over batch blocks, forward and backward.
+  branch): each batch block is copied into zero-padded contiguous rows and
+  the k taps are shifted multiply-adds over the flattened rows, forward and
+  backward.
   A pointwise conv (k == 1, one group, stride 1, no padding) is one matmul.
   Every other grouping correlates strided windows with one einsum.
 """
@@ -24,7 +26,7 @@ import sys
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import erf as _erf
+from scipy.special import ndtr as _ndtr
 
 __all__ = [
     "Tensor", "DimensionError", "ConfigurationError", "TapeError",
@@ -34,7 +36,6 @@ __all__ = [
     "linear", "conv1d", "batchnorm1d", "cross_entropy", "BnState",
 ]
 
-_SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
 
@@ -143,8 +144,9 @@ def backward(loss: "Tensor") -> None:
                 if not np.all(np.isfinite(g)):
                     raise TapeError("non-finite gradient encountered during backward")
                 if p.grad is None:
-                    p.grad = np.zeros_like(p.data)
-                p.grad += g
+                    p.grad = np.array(g)     # a copy: g may be a view or shared
+                else:
+                    p.grad += g
     finally:
         for out, _, _ in _TAPE:
             if not out.is_leaf:
@@ -385,14 +387,21 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # --------------------------------------------------------------------------
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact GELU x * Phi(x) using the Gaussian CDF (erf form, no tanh)."""
+    """Exact GELU x * Phi(x), with Phi the Gaussian CDF (`ndtr`, no tanh)."""
     a = _as_tensor(a)
-    phi = 0.5 * (1.0 + _erf(a.data / _SQRT2))
+    phi = _ndtr(a.data)
     out = _out(a.data * phi)
 
     def bwd(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * a.data * a.data)
-        return (g * (phi + a.data * pdf),)
+        # g * (phi + x * pdf(x)), built in one buffer
+        t = a.data * a.data
+        t *= -0.5
+        np.exp(t, out=t)
+        t *= a.data
+        t *= _INV_SQRT_2PI
+        t += phi
+        t *= g
+        return (t,)
 
     return _record(out, (a,), bwd)
 
@@ -552,69 +561,82 @@ def _conv_input_grad(gy: np.ndarray, w: np.ndarray, stride: int, padding: int,
     return gxp[:, :, padding: padding + n_in]
 
 
-# Elements of one batch block on the depthwise path (256 KiB per operand),
-# so that the block's input, output and scratch stay in a per-core L2 cache
-# through the k passes over them.  On a 2-core Xeon with 2 MiB of L2 per
-# core, the default config's batch-64 depthwise forward ran about 1.5x
-# faster than with one pass per tap over the whole batch.
+# Elements of one batch block of padded rows on the depthwise path
+# (256 KiB per operand), so that the block's padded input, output and
+# scratch stay in a per-core L2 cache through the k passes over them.  On a
+# 2-core Xeon with 2 MiB of L2 per core, the default config's batch-64
+# depthwise forward ran about 1.5x faster than with one pass per tap over
+# the whole batch.
 _DEPTHWISE_BLOCK = 1 << 15
-
-
-def _depthwise_taps(n: int, n_out: int, k: int, stride: int, padding: int):
-    """(tap, output slice, input slice) of every tap that reaches the input.
-
-    Output position t reads input position t*stride + j - padding; the
-    slices keep the positions inside [0, n), so zero padding is never built.
-    """
-    for j in range(k):
-        t0 = max(0, -((j - padding) // stride))
-        t1 = min(n_out, (n - 1 + padding - j) // stride + 1)
-        if t1 > t0:
-            start = t0 * stride + j - padding
-            yield j, slice(t0, t1), slice(start, start + (t1 - t0 - 1) * stride + 1, stride)
-
-
-def _batch_blocks(b: int, sample_size: int) -> list:
-    """Batch slices of about _DEPTHWISE_BLOCK elements; an empty batch gets one."""
-    step = max(1, _DEPTHWISE_BLOCK // sample_size)
-    return [slice(lo, lo + step) for lo in range(0, max(b, 1), step)]
 
 
 def _depthwise_raw(x: np.ndarray, w: np.ndarray, stride: int,
                    padding: int) -> np.ndarray:
-    """Depthwise cross-correlation [B, C, N] * [C, 1, k] as k shifted adds."""
+    """Depthwise cross-correlation [B, C, N] * [C, 1, k] as k shifted adds.
+
+    Each batch block is copied into zero-padded rows of length
+    m = N + 2*padding, and tap j adds the block scaled by w[:, 0, j] to the
+    output shifted left by j along the flattened rows, so every pass runs
+    over contiguous memory.  Output column t < m - k + 1 only reads columns
+    t..t+k-1 of its own row; the last k - 1 columns of each row mix in the
+    next row and are dropped.  A stride keeps every stride-th column.
+    """
     b, c, n = x.shape
     k = w.shape[2]
-    n_out = (n + 2 * padding - k) // stride + 1
-    taps = list(_depthwise_taps(n, n_out, k, stride, padding))
-    blocks = _batch_blocks(b, c * n_out)
-    y = np.zeros((b, c, n_out))
-    tmp = np.empty_like(y[blocks[0]])
-    for blk in blocks:
-        xb, yb = x[blk], y[blk]
-        tb = tmp[: yb.shape[0]]
-        for j, yo, xi in taps:
-            np.multiply(xb[:, :, xi], w[:, 0, j, None], out=tb[:, :, yo])
-            yb[:, :, yo] += tb[:, :, yo]
+    m = n + 2 * padding
+    n_full = m - k + 1
+    step = max(1, _DEPTHWISE_BLOCK // (c * m))
+    y = np.empty((b, c, (n_full - 1) // stride + 1))
+    xp = np.zeros((min(step, b), c, m))      # padding columns stay zero
+    yp, tmp = np.empty_like(xp), np.empty_like(xp)
+    for lo in range(0, b, step):
+        nb = min(step, b - lo)
+        xb, yb, tb = xp[:nb], yp[:nb], tmp[:nb]
+        xb[:, :, padding:padding + n] = x[lo:lo + nb]
+        yf, tf = yb.reshape(-1), tb.reshape(-1)
+        np.multiply(xb, w[:, 0, 0, None], out=yb)
+        for j in range(1, k):
+            np.multiply(xb, w[:, 0, j, None], out=tb)
+            yf[:yf.size - j] += tf[j:]
+        y[lo:lo + nb] = yb[:, :, :n_full:stride]
     return y
 
 
 def _depthwise_grads(x: np.ndarray, w: np.ndarray, gy: np.ndarray,
                      stride: int, padding: int):
-    """Input and weight gradients of `_depthwise_raw`, tap by tap."""
+    """Input and weight gradients of `_depthwise_raw` on the same padded rows.
+
+    The output gradient goes into zeroed rows of length m at the columns the
+    forward kept, and tap j adds it, scaled by w[:, 0, j], shifted right by
+    j along the flattened rows; a shift reaches into the previous row only
+    through its last k - 1 columns, which hold zeros.  The weight gradient
+    of tap j is one per-channel dot product of the output gradient with the
+    padded input shifted by j.
+    """
     b, c, n = x.shape
-    taps = list(_depthwise_taps(n, gy.shape[2], w.shape[2], stride, padding))
-    blocks = _batch_blocks(b, c * gy.shape[2])
-    gx = np.zeros_like(x)
+    k = w.shape[2]
+    m = n + 2 * padding
+    n_full = m - k + 1
+    step = max(1, _DEPTHWISE_BLOCK // (c * m))
+    gx = np.empty_like(x)
     gw = np.zeros_like(w)
-    tmp = np.empty_like(gy[blocks[0]])
-    for blk in blocks:
-        xb, gb, gxb = x[blk], gy[blk], gx[blk]
-        tb = tmp[: gb.shape[0]]
-        for j, yo, xi in taps:
-            np.multiply(gb[:, :, yo], w[:, 0, j, None], out=tb[:, :, yo])
-            gxb[:, :, xi] += tb[:, :, yo]
-            gw[:, 0, j] += np.einsum("bcn,bcn->c", gb[:, :, yo], xb[:, :, xi])
+    xp = np.zeros((min(step, b), c, m))      # padding columns stay zero
+    gp = np.zeros_like(xp)                   # unwritten columns stay zero
+    gxp, tmp = np.empty_like(xp), np.empty_like(xp)
+    for lo in range(0, b, step):
+        nb = min(step, b - lo)
+        xb, gb, gxb, tb = xp[:nb], gp[:nb], gxp[:nb], tmp[:nb]
+        xb[:, :, padding:padding + n] = x[lo:lo + nb]
+        gb[:, :, :n_full:stride] = gy[lo:lo + nb]
+        gxf, tf = gxb.reshape(-1), tb.reshape(-1)
+        np.multiply(gb, w[:, 0, 0, None], out=gxb)
+        for j in range(1, k):
+            np.multiply(gb, w[:, 0, j, None], out=tb)
+            gxf[j:] += tf[:tf.size - j]
+        gx[lo:lo + nb] = gxb[:, :, padding:padding + n]
+        for j in range(k):
+            gw[:, 0, j] += np.einsum("bcn,bcn->c", gb[:, :, :n_full],
+                                     xb[:, :, j:j + n_full])
     return gx, gw
 
 
@@ -623,10 +645,11 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     """Grouped 1-D cross-correlation (no kernel flip).
 
     Accepts [C_in, N] or [B, C_in, N] input; weight is [C_out, C_in/groups, k].
-    groups == C_in gives the depthwise case.  When also C_out == C_in, the
-    forward adds k shifted slices of the input, each scaled by its
-    per-channel tap, and the backward scatters the same slices back; no
-    window copy or zero padding is made.  A pointwise conv (k == 1,
+    groups == C_in gives the depthwise case.  When also C_out == C_in, each
+    batch block of the input is copied into zero-padded rows, and the
+    forward adds the rows, scaled by each per-channel tap, shifted by the
+    tap along the flattened block; the backward shifts the output gradient
+    back the same way.  No window copy is made.  A pointwise conv (k == 1,
     groups == 1, stride 1, padding 0) is the matmul weight[:, :, 0] @ x.
     Any other grouping (C_out a multiple of C_in included) goes through the
     grouped-window einsum.
@@ -739,24 +762,27 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor, state: BnState,
         raise DimensionError(
             f"train-mode batchnorm needs B*N >= 2, got B={b} N={n}")
     mu = x.data.mean(axis=(0, 2))
-    var = x.data.var(axis=(0, 2))
+    xhat = x.data - mu[:, None]            # centred here, scaled below
+    var = np.einsum("bcn,bcn->c", xhat, xhat) / m
     state.mean = (1.0 - momentum) * state.mean + momentum * mu
     state.var = (1.0 - momentum) * state.var + momentum * var * m / max(m - 1, 1)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu[:, None]) * inv[:, None]
-    out = _out(gamma.data[:, None] * xhat + beta.data[:, None])
+    xhat *= inv[:, None]
+    y = xhat * gamma.data[:, None]
+    y += beta.data[:, None]
 
     def bwd(g):
-        dg = (g * xhat).sum(axis=(0, 2))
-        db = g.sum(axis=(0, 2))
-        dxhat = g * gamma.data[:, None]
-        dx = (inv[:, None] / m) * (
-            m * dxhat
-            - dxhat.sum(axis=(0, 2), keepdims=True)
-            - xhat * (dxhat * xhat).sum(axis=(0, 2), keepdims=True))
+        # closed form of dL/dx: with dxhat = gamma * g, sum(dxhat) is
+        # gamma * db and sum(dxhat * xhat) is gamma * dg
+        dg = np.einsum("bcn,bcn->c", g, xhat)
+        db = np.einsum("bcn->c", g)
+        dx = xhat * (-dg / m)[:, None]
+        dx += g
+        dx -= (db / m)[:, None]
+        dx *= (gamma.data * inv)[:, None]
         return dx, dg, db
 
-    return _record(out, (x, gamma, beta), bwd)
+    return _record(_out(y), (x, gamma, beta), bwd)
 
 
 # --------------------------------------------------------------------------

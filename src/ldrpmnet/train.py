@@ -182,8 +182,7 @@ def trace_csv(trace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def evaluate(net: Network, sample_set: SampleSet, part: str = "test",
-             timing_passes: int = 5) -> MetricsReport:
+def evaluate(net: Network, sample_set: SampleSet, part: str = "test") -> MetricsReport:
     """Eval-mode metrics on one split; never mutates parameters or BN stats."""
     idx = sample_set.indices(part)
     if len(idx) == 0:
@@ -195,15 +194,13 @@ def evaluate(net: Network, sample_set: SampleSet, part: str = "test",
     for t_cls, p_cls in zip(labels, preds):
         confusion[t_cls - 1, p_cls - 1] += 1
     report = metrics_from_confusion(confusion)
-    # timing: batch-1 eval passes over the split, median per-sample wall clock
-    timed = sample_set.waveforms[idx]
+    # timing: one batch-1 eval pass over the split, median per-sample latency
     durations = []
     with no_grad():
-        for _ in range(max(timing_passes, 5)):
+        for wave in sample_set.waveforms[idx]:
             start = time.perf_counter()
-            for i in range(len(timed)):
-                net.forward(Tensor(timed[i][None, None, :]), mode="eval")
-            durations.append((time.perf_counter() - start) / len(timed))
+            net.forward(Tensor(wave[None, None, :]), mode="eval")
+            durations.append(time.perf_counter() - start)
     report.inference_seconds = float(np.median(durations))
     return report
 

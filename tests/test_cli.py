@@ -3,7 +3,9 @@ import os
 
 import pytest
 
+from ldrpmnet import gradcheck as gradcheck_module
 from ldrpmnet.cli import cli_dispatch
+from ldrpmnet.gradcheck import standard_suite
 from ldrpmnet.model import ModelConfig, build, save_checkpoint
 
 SMALL_CONFIG = """\
@@ -158,10 +160,15 @@ class TestTrainEval:
 
 class TestGradcheck:
     def test_single_op(self, capsys):
-        assert cli_dispatch(["gradcheck", "--op", "linear"]) == 0
+        full = standard_suite(seed=0)["gelu"]
+        assert cli_dispatch(["gradcheck", "--op", "gelu"]) == 0
         out = capsys.readouterr().out
-        assert "linear" in out and "ok" in out
+        assert out.splitlines() == [f"{'gelu':<20} max_rel_error {full:.3e}  ok"]
 
-    def test_unknown_op(self, capsys):
-        assert cli_dispatch(["gradcheck", "--op", "quux"]) == 2
-        assert "unknown op" in capsys.readouterr().err
+    def test_unknown_op(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("gradcheck ran for an unknown op")
+
+        monkeypatch.setattr(gradcheck_module, "gradcheck", fail)
+        assert cli_dispatch(["gradcheck", "--op", "quux"]) == 1
+        assert "invalid choice: 'quux'" in capsys.readouterr().err

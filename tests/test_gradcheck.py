@@ -1,7 +1,8 @@
 import numpy as np
+import pytest
 
 from ldrpmnet import tensor as T
-from ldrpmnet.gradcheck import gradcheck, standard_suite
+from ldrpmnet.gradcheck import SUITE_NAMES, gradcheck, standard_suite
 from ldrpmnet.tensor import Tensor
 
 
@@ -59,7 +60,11 @@ def test_composite_chain_vs_finite_differences():
 
 def test_full_suite_within_tolerance():
     results = standard_suite(seed=0)
-    for name in ("mdsc_block", "bsa_block", "mhsa_block", "full_network"):
-        assert name in results
+    assert tuple(results) == SUITE_NAMES
     worst = max(results.values())
     assert worst <= 1e-4, {k: v for k, v in results.items() if v > 1e-4}
+
+
+def test_unknown_suite_check_rejected():
+    with pytest.raises(ValueError, match="unknown check"):
+        standard_suite(seed=0, only="quux")

@@ -122,6 +122,31 @@ class TestConv1d:
         npt.assert_allclose(gx2, gx, atol=1e-12)
         npt.assert_allclose(gw2, gw, atol=1e-12)
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_depthwise_blocks_leave_no_stale_columns(self, monkeypatch, stride):
+        # one sample per block: a large first sample must leave nothing in
+        # the reused padded rows that reaches the all-zero second sample
+        monkeypatch.setattr(T, "_DEPTHWISE_BLOCK", 1)
+        rng = np.random.Generator(np.random.Philox(key=14))
+        c, n, k, pad = 3, 13, 5, 2
+        x = np.zeros((2, c, n))
+        x[0] = 1e3 * rng.standard_normal((c, n))
+        w = rng.standard_normal((c, 1, k))
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        y = T.conv1d(xt, wt, stride=stride, padding=pad, groups=c)
+        npt.assert_allclose(y.data[0], naive_conv1d(x[0], w, None, stride, pad, c),
+                            atol=1e-12)
+        assert not y.data[1].any()
+        gy = np.zeros(y.shape)
+        gy[0] = 1e3 * rng.standard_normal(y.shape[1:])
+        T.backward(T.tsum(T.mul(y, Tensor(gy))))
+        assert not xt.grad[1].any()
+        x0, w0 = Tensor(x[:1], requires_grad=True), Tensor(w, requires_grad=True)
+        y0 = T.conv1d(x0, w0, stride=stride, padding=pad, groups=c)
+        T.backward(T.tsum(T.mul(y0, Tensor(gy[:1]))))
+        npt.assert_array_equal(xt.grad[:1], x0.grad)
+        npt.assert_array_equal(wt.grad, w0.grad)
+
     def test_depthwise_empty_batch(self):
         x = Tensor(np.zeros((0, 3, 10)), requires_grad=True)
         w = Tensor(np.ones((3, 1, 3)), requires_grad=True)
@@ -197,6 +222,26 @@ class TestBatchNorm:
         # eps=1e-5 inside the denominator pulls the variance slightly below 1
         assert np.abs(var - 1.0).max() <= 1e-4
 
+    def test_train_backward_matches_dxhat_form(self):
+        rng = np.random.Generator(np.random.Philox(key=15))
+        x = rng.normal(1.0, 2.0, size=(4, 3, 10))
+        gamma, beta = rng.normal(size=3), rng.normal(size=3)
+        g = rng.normal(size=x.shape)
+        xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
+        out = T.batchnorm1d(xt, gt, bt, BnState(3), mode="train")
+        T.backward(T.tsum(T.mul(out, Tensor(g))))
+        # reference: the backward through dL/dxhat = gamma * g
+        m = 4 * 10
+        inv = 1.0 / np.sqrt(x.var(axis=(0, 2), keepdims=True) + 1e-5)
+        xhat = (x - x.mean(axis=(0, 2), keepdims=True)) * inv
+        dxhat = g * gamma[:, None]
+        dx = (inv / m) * (m * dxhat
+                          - dxhat.sum(axis=(0, 2), keepdims=True)
+                          - xhat * (dxhat * xhat).sum(axis=(0, 2), keepdims=True))
+        npt.assert_allclose(xt.grad, dx, atol=1e-12)
+        npt.assert_allclose(gt.grad, (g * xhat).sum(axis=(0, 2)), atol=1e-12)
+        npt.assert_allclose(bt.grad, g.sum(axis=(0, 2)), atol=1e-12)
+
     def test_degenerate_batch(self):
         with pytest.raises(T.DimensionError, match="B\\*N"):
             T.batchnorm1d(Tensor(np.zeros((1, 2, 1))), Tensor(np.ones(2)),
@@ -262,6 +307,25 @@ class TestBackward:
         x = Tensor([1.0, 2.0], requires_grad=True)
         T.tsum(T.mul(x, x)).backward()
         npt.assert_array_equal(x.grad, [2.0, 4.0])
+
+    def test_shared_gradient_not_aliased(self):
+        # add hands one array to both parents, and a's first gradient comes
+        # from it; the use of a recorded before the add is added to a.grad
+        # later and must leave b.grad alone
+        a = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        b = Tensor([4.0, 5.0, 6.0], requires_grad=True)
+        w = np.array([0.5, -1.0, 2.0])
+        before = T.mul(a, a)
+        s = T.add(a, b)
+        T.tsum(T.add(before, T.mul(s, Tensor(w)))).backward()   # a^2 + (a + b) w
+        npt.assert_array_equal(a.grad, 2 * a.data + w)
+        npt.assert_array_equal(b.grad, w)
+        assert not np.shares_memory(a.grad, b.grad)
+
+    def test_same_operand_twice(self):
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        T.tsum(x + x).backward()
+        npt.assert_array_equal(x.grad, [2.0, 2.0])
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
