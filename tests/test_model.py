@@ -1,3 +1,4 @@
+import hashlib
 import os
 import platform
 
@@ -242,6 +243,24 @@ class TestCheckpoint:
         del arrays["head.bias"]
         with pytest.raises(ValueError, match=r"missing \['head.bias'\]"):
             net.load_state_arrays(arrays)
+
+    # SHA-256 of each preset's REDUCED_CONFIG seed-0 checkpoint: pins the
+    # state-array names, their order and the initial values together
+    GOLDEN = {
+        "cnt": ("193bbcdf31796700b610c020e7e48d0f187e75d2b05119147b88e76ae1896146", 68),
+        "cnt-mdsc": ("21f3d0425bbbc75df5430a323ccae806e45d4abd8dd85e97206141653c618304", 68),
+        "cnt-bsa": ("97ace0d4f20f048a63255b049f857a9ae2ab2b5a4b81d5e8f20e2b0d17a092ca", 66),
+        "ld-rpmnet": ("47c58934c50b578495011903e34a726135557f13db687e43dbda75aaf296ecb0", 66),
+    }
+
+    @pytest.mark.parametrize("preset", sorted(GOLDEN))
+    def test_golden_checkpoint(self, tmp_path, preset):
+        net = build_preset(preset, base=REDUCED_CONFIG, seed=0)
+        path = os.path.join(tmp_path, "weights.bin")
+        save_checkpoint(net, path)
+        with open(path, "rb") as f:
+            digest = hashlib.sha256(f.read()).hexdigest()
+        assert (digest, len(net.state_arrays())) == self.GOLDEN[preset]
 
     def test_trailing_bytes(self, tmp_path):
         path, blob = self._saved(tmp_path)
