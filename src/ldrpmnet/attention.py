@@ -13,13 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .layers import Linear, ParamInitializer
+from .layers import Linear, Module, ParamInitializer
 from .tensor import ConfigurationError, Tensor
 
 SOFTMAX_FLOPS_PER_ELEMENT = 5
 
 
-class MhsaBlock:
+class MhsaBlock(Module):
     """Standard scaled dot-product multi-head self-attention on [B, N, d]."""
 
     def __init__(self, model_dim: int, heads: int = 4, seed: int = 0,
@@ -56,18 +56,8 @@ class MhsaBlock:
         merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, n, d))
         return self.w_o.forward(merged)
 
-    def parameters(self):
-        ps = []
-        for name, lin in (("w_q", self.w_q), ("w_k", self.w_k),
-                          ("w_v", self.w_v), ("w_o", self.w_o)):
-            ps += [(f"{name}.{n}", p) for n, p in lin.parameters()]
-        return ps
 
-    def param_count(self) -> int:
-        return sum(p.size for _, p in self.parameters())
-
-
-class BsaBlock:
+class BsaBlock(Module):
     """Broadcast self-attention on [B, N, d]: scalar token scores, 1-D
     softmax, one global context vector, elementwise value modulation."""
 
@@ -99,15 +89,6 @@ class BsaBlock:
         with T.no_grad():
             s = T.matmul(x, T.reshape(self.score, (self.model_dim, 1)))
             return T.softmax(s, axis=1).data[..., 0]
-
-    def parameters(self):
-        ps = [("score", self.score)]
-        for name, lin in (("w_k", self.w_k), ("w_v", self.w_v), ("w_o", self.w_o)):
-            ps += [(f"{name}.{n}", p) for n, p in lin.parameters()]
-        return ps
-
-    def param_count(self) -> int:
-        return sum(p.size for _, p in self.parameters())
 
 
 def attention_flops(kind: str, n: int, d: int, h: int = 4) -> int:

@@ -13,8 +13,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__, config as config_mod, dataset
 from .gradcheck import SUITE_NAMES, standard_suite
 from .model import (MODEL_PRESETS, ModelConfig, build_preset,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import SOFTMAX_FLOPS_PER_ELEMENT, attention_flops
+from .attention import attention_flops
 from .layers import Conv1d, Linear
 from .model import Network
 
@@ -89,13 +89,12 @@ def count(net: Network, input_length: int | None = None) -> ComplexityReport:
     c_in = stem_c
     for i, (c_out, kernel_set, pool) in enumerate(cfg.stages):
         L = len(kernel_set)
+        # a depthwise branch sees one input channel per output, a full one all
+        branch, per_group = (("depthwise_k", 1) if cfg.conv_kind == "mdsc"
+                             else ("branch_k", c_in))
         for k in kernel_set:
-            if cfg.conv_kind == "mdsc":
-                rows.append((f"stage{i}.depthwise_k{k}", c_in * k,
-                             conv1d_flops(n, c_in, 1, k)))
-            else:
-                rows.append((f"stage{i}.branch_k{k}", c_in * c_in * k,
-                             conv1d_flops(n, c_in, c_in, k)))
+            rows.append((f"stage{i}.{branch}{k}", c_in * per_group * k,
+                         conv1d_flops(n, c_in, per_group, k)))
         rows.append((f"stage{i}.pointwise", L * c_in * c_out + c_out,
                      conv1d_flops(n, c_out, L * c_in, 1)))
         rows.append((f"stage{i}.bn", 2 * c_out,

@@ -1,4 +1,5 @@
-"""Parameter-holding layers built on the autodiff primitives.
+"""Parameter-holding layers built on the autodiff primitives, and the
+Module base that names and collects the parameters of every block.
 
 Initialization is fan-in uniform (bound = sqrt(1/fan_in)) drawn from a
 counter-based Philox stream, so a given seed always produces bit-identical
@@ -36,7 +37,48 @@ class ParamInitializer:
         return Tensor(np.ones(shape), requires_grad=True)
 
 
-class Conv1d:
+class Module:
+    """Base of every layer, block and network.
+
+    Assigning a Tensor or a Module to an attribute records it under the
+    attribute's name; `add` records a list element (a branch, a stage) under
+    a name of its own.  Constructors create parameters in Philox draw order,
+    so that one order is also the order of `parameters()`, `buffers()` and
+    a checkpoint's arrays.  Child names are joined with dots.
+    """
+
+    def __setattr__(self, name, value):
+        if isinstance(value, (Tensor, Module)):
+            self.add(name, value)
+        object.__setattr__(self, name, value)
+
+    def add(self, name: str, value):
+        self.__dict__.setdefault("_members", {})[name] = value
+        return value
+
+    def _own_buffers(self):
+        """(name, array) pairs of this module's buffers, read when asked."""
+        return []
+
+    def _walk(self):
+        yield from self._own_buffers()
+        for name, member in self.__dict__.get("_members", {}).items():
+            if isinstance(member, Module):
+                yield from ((f"{name}.{n}", v) for n, v in member._walk())
+            else:
+                yield name, member
+
+    def parameters(self):
+        return [(n, v) for n, v in self._walk() if isinstance(v, Tensor)]
+
+    def buffers(self):
+        return [(n, v) for n, v in self._walk() if not isinstance(v, Tensor)]
+
+    def param_count(self) -> int:
+        return sum(p.size for _, p in self.parameters())
+
+
+class Conv1d(Module):
     def __init__(self, in_channels: int, out_channels: int, kernel: int, *,
                  stride: int = 1, padding: int = 0, groups: int = 1,
                  bias: bool = True, init: ParamInitializer | None = None):
@@ -56,17 +98,8 @@ class Conv1d:
         return T.conv1d(x, self.weight, self.bias, stride=self.stride,
                         padding=self.padding, groups=self.groups)
 
-    def parameters(self):
-        ps = [("weight", self.weight)]
-        if self.bias is not None:
-            ps.append(("bias", self.bias))
-        return ps
 
-    def param_count(self) -> int:
-        return sum(p.size for _, p in self.parameters())
-
-
-class Linear:
+class Linear(Module):
     def __init__(self, in_features: int, out_features: int, *,
                  bias: bool = True, init: ParamInitializer | None = None):
         init = init or ParamInitializer(0)
@@ -79,21 +112,11 @@ class Linear:
     def forward(self, x: Tensor) -> Tensor:
         return T.linear(x, self.weight, self.bias)
 
-    def parameters(self):
-        ps = [("weight", self.weight)]
-        if self.bias is not None:
-            ps.append(("bias", self.bias))
-        return ps
 
-    def param_count(self) -> int:
-        return sum(p.size for _, p in self.parameters())
-
-
-class BatchNorm1d:
+class BatchNorm1d(Module):
     def __init__(self, channels: int, *, momentum: float = 0.1, eps: float = 1e-5,
                  init: ParamInitializer | None = None):
         init = init or ParamInitializer(0)
-        self.channels = channels
         self.momentum = momentum
         self.eps = eps
         self.gamma = init.ones((channels,))
@@ -104,30 +127,18 @@ class BatchNorm1d:
         return T.batchnorm1d(x, self.gamma, self.beta, self.state, mode=mode,
                              momentum=self.momentum, eps=self.eps)
 
-    def parameters(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
-
-    def buffers(self):
+    def _own_buffers(self):
+        # train mode replaces the state's arrays, so they are looked up here
         return [("running_mean", self.state.mean), ("running_var", self.state.var)]
 
-    def param_count(self) -> int:
-        return 2 * self.channels
 
-
-class LayerNorm:
+class LayerNorm(Module):
     def __init__(self, dim: int, *, eps: float = 1e-5,
                  init: ParamInitializer | None = None):
         init = init or ParamInitializer(0)
-        self.dim = dim
         self.eps = eps
         self.gamma = init.ones((dim,))
         self.beta = init.zeros((dim,))
 
     def forward(self, x: Tensor) -> Tensor:
         return T.layer_norm(x, self.gamma, self.beta, eps=self.eps)
-
-    def parameters(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
-
-    def param_count(self) -> int:
-        return 2 * self.dim

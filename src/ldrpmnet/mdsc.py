@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import tensor as T
-from .layers import BatchNorm1d, Conv1d, ParamInitializer
+from .layers import BatchNorm1d, Conv1d, Module, ParamInitializer
 from .tensor import ConfigurationError, Tensor
 
 
@@ -47,18 +47,29 @@ def mdsc_param_count(config: MdscConfig) -> int:
     return sum(c1 * k for k in ks) + len(ks) * c1 * c2 + c2 + 2 * c2
 
 
-class MdscBlock:
-    """Depthwise branches -> concat -> pointwise -> BatchNorm -> GELU."""
+class MdscBlock(Module):
+    """Branches -> concat -> pointwise -> BatchNorm -> GELU.
+
+    The branch convs are depthwise (groups = C1); the cross-channel
+    counterpart, model.StandardMultiScaleBlock, only clears `separable`
+    and names its branches `branch_k{k}` instead of `depthwise_k{k}`.
+    """
+
+    separable = True
+    branch_name = "depthwise_k"
 
     def __init__(self, config: MdscConfig, seed: int = 0,
                  init: ParamInitializer | None = None):
         self.config = config
         init = init or ParamInitializer(seed)
         c1, c2 = config.in_channels, config.out_channels
-        # no depthwise bias: it would be absorbed by the BatchNorm shift
+        # the branch convs under either grouping; no bias: it would be
+        # absorbed by the BatchNorm shift
         self.depthwise = [
-            Conv1d(c1, c1, k, stride=config.stride, padding=(k - 1) // 2,
-                   groups=c1, bias=False, init=init)
+            self.add(f"{self.branch_name}{k}",
+                     Conv1d(c1, c1, k, stride=config.stride, padding=(k - 1) // 2,
+                            groups=c1 if self.separable else 1, bias=False,
+                            init=init))
             for k in config.kernel_sizes
         ]
         self.pointwise = Conv1d(len(config.kernel_sizes) * c1, c2, 1,
@@ -70,22 +81,7 @@ class MdscBlock:
             raise T.DimensionError(
                 f"input channel axis is {x.shape[-2]}, block expects "
                 f"{self.config.in_channels}")
-        branches = [dw.forward(x) for dw in self.depthwise]
-        z = T.concat(branches, axis=-2)
+        z = T.concat([br.forward(x) for br in self.depthwise], axis=-2)
         y = self.pointwise.forward(z)
         y = self.bn.forward(y, mode)
         return T.gelu(y)
-
-    def parameters(self):
-        ps = []
-        for k, dw in zip(self.config.kernel_sizes, self.depthwise):
-            ps += [(f"depthwise_k{k}.{n}", p) for n, p in dw.parameters()]
-        ps += [(f"pointwise.{n}", p) for n, p in self.pointwise.parameters()]
-        ps += [(f"bn.{n}", p) for n, p in self.bn.parameters()]
-        return ps
-
-    def buffers(self):
-        return [(f"bn.{n}", b) for n, b in self.bn.buffers()]
-
-    def param_count(self) -> int:
-        return sum(p.size for _, p in self.parameters())

@@ -10,6 +10,11 @@ The four variants used in the ablation are:
 Layout: stem conv -> conv stages (block + max pool) -> channels become the
 embedding axis, time steps become tokens -> learned positional embedding ->
 transformer encoder blocks -> mean over tokens -> linear classifier head.
+
+Both conv kinds use one multi-scale block: StandardMultiScaleBlock is
+mdsc.MdscBlock with full (groups=1) instead of depthwise branch convs.
+Parameter names follow the attribute names through layers.Module, e.g.
+stage0.depthwise_k3.weight or encoder1.attn.w_k.bias.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import BsaBlock, MhsaBlock
-from .layers import BatchNorm1d, Conv1d, LayerNorm, Linear, ParamInitializer
+from .layers import BatchNorm1d, Conv1d, LayerNorm, Linear, Module, ParamInitializer
 from .mdsc import MdscBlock, MdscConfig
 from .tensor import ConfigurationError, Tensor
 
@@ -102,50 +107,14 @@ def standard_multiscale_param_count(config: MdscConfig) -> int:
     return sum(c1 * c1 * k for k in ks) + len(ks) * c1 * c2 + c2 + 2 * c2
 
 
-class StandardMultiScaleBlock:
-    """Cross-channel multi-scale conv with the same topology as MdscBlock:
-    parallel full convs C1->C1 per kernel size, concat, pointwise, BN, GELU."""
+class StandardMultiScaleBlock(MdscBlock):
+    """Cross-channel counterpart of MdscBlock: full C1 -> C1 branch convs."""
 
-    def __init__(self, config: MdscConfig, seed: int = 0,
-                 init: ParamInitializer | None = None):
-        self.config = config
-        init = init or ParamInitializer(seed)
-        c1, c2 = config.in_channels, config.out_channels
-        self.branches = [
-            Conv1d(c1, c1, k, stride=config.stride, padding=(k - 1) // 2,
-                   bias=False, init=init)
-            for k in config.kernel_sizes
-        ]
-        self.pointwise = Conv1d(len(config.kernel_sizes) * c1, c2, 1,
-                                bias=True, init=init)
-        self.bn = BatchNorm1d(c2, init=init)
-
-    def forward(self, x: Tensor, mode: str = "train") -> Tensor:
-        if x.shape[-2] != self.config.in_channels:
-            raise T.DimensionError(
-                f"input channel axis is {x.shape[-2]}, block expects "
-                f"{self.config.in_channels}")
-        z = T.concat([br.forward(x) for br in self.branches], axis=-2)
-        y = self.pointwise.forward(z)
-        y = self.bn.forward(y, mode)
-        return T.gelu(y)
-
-    def parameters(self):
-        ps = []
-        for k, br in zip(self.config.kernel_sizes, self.branches):
-            ps += [(f"branch_k{k}.{n}", p) for n, p in br.parameters()]
-        ps += [(f"pointwise.{n}", p) for n, p in self.pointwise.parameters()]
-        ps += [(f"bn.{n}", p) for n, p in self.bn.parameters()]
-        return ps
-
-    def buffers(self):
-        return [(f"bn.{n}", b) for n, b in self.bn.buffers()]
-
-    def param_count(self) -> int:
-        return sum(p.size for _, p in self.parameters())
+    separable = False
+    branch_name = "branch_k"
 
 
-class EncoderBlock:
+class EncoderBlock(Module):
     """Post-norm transformer encoder block: attention + residual + LayerNorm,
     feed-forward (d -> e*d -> d, GELU) + residual + LayerNorm."""
 
@@ -165,16 +134,8 @@ class EncoderBlock:
         f = self.ffn2.forward(T.gelu(self.ffn1.forward(y)))
         return self.norm2.forward(T.add(y, f))
 
-    def parameters(self):
-        ps = [(f"attn.{n}", p) for n, p in self.attn.parameters()]
-        ps += [(f"norm1.{n}", p) for n, p in self.norm1.parameters()]
-        ps += [(f"ffn1.{n}", p) for n, p in self.ffn1.parameters()]
-        ps += [(f"ffn2.{n}", p) for n, p in self.ffn2.parameters()]
-        ps += [(f"norm2.{n}", p) for n, p in self.norm2.parameters()]
-        return ps
 
-
-class Network:
+class Network(Module):
     """Assembled classifier; construct via build()."""
 
     def __init__(self, config: ModelConfig, seed: int):
@@ -189,17 +150,18 @@ class Network:
         block_cls = MdscBlock if config.conv_kind == "mdsc" else StandardMultiScaleBlock
         self.stages = []
         c_in = stem_c
-        for c_out, kernel_set, pool in config.stages:
+        for i, (c_out, kernel_set, pool) in enumerate(config.stages):
             blk = block_cls(MdscConfig(c_in, c_out, kernel_set, 1), init=init)
-            self.stages.append((blk, pool))
+            self.stages.append((self.add(f"stage{i}", blk), pool))
             c_in = c_out
 
         depth, d, ffn_e, heads = config.encoder
         tokens = config.token_count
         bound = float(np.sqrt(1.0 / d))
         self.pos_emb = init.uniform((tokens, d), bound)
-        self.encoder = [EncoderBlock(config.attn_kind, d, ffn_e, heads, init)
-                        for _ in range(depth)]
+        self.encoder = [
+            self.add(f"encoder{i}", EncoderBlock(config.attn_kind, d, ffn_e, heads, init))
+            for i in range(depth)]
         self.head = Linear(d, config.num_classes, init=init)
 
     # -- forward ----------------------------------------------------------
@@ -240,27 +202,7 @@ class Network:
         pooled = T.mean(y, axis=1)                     # [B, d]
         return self.head.forward(pooled)
 
-    # -- parameter plumbing ----------------------------------------------
-    def parameters(self):
-        ps = [(f"stem.{n}", p) for n, p in self.stem.parameters()]
-        ps += [(f"stem_bn.{n}", p) for n, p in self.stem_bn.parameters()]
-        for i, (blk, _) in enumerate(self.stages):
-            ps += [(f"stage{i}.{n}", p) for n, p in blk.parameters()]
-        ps.append(("pos_emb", self.pos_emb))
-        for i, enc in enumerate(self.encoder):
-            ps += [(f"encoder{i}.{n}", p) for n, p in enc.parameters()]
-        ps += [(f"head.{n}", p) for n, p in self.head.parameters()]
-        return ps
-
-    def buffers(self):
-        bs = [(f"stem_bn.{n}", b) for n, b in self.stem_bn.buffers()]
-        for i, (blk, _) in enumerate(self.stages):
-            bs += [(f"stage{i}.{n}", b) for n, b in blk.buffers()]
-        return bs
-
-    def param_count(self) -> int:
-        return sum(p.size for _, p in self.parameters())
-
+    # -- state -----------------------------------------------------------
     def state_arrays(self):
         """Named (name, ndarray) pairs: parameters then buffers, fixed order."""
         return ([(n, p.data) for n, p in self.parameters()]

@@ -141,8 +141,6 @@ def backward(loss: "Tensor") -> None:
             for p, g in zip(parents, grads):
                 if g is None or not p.requires_grad:
                     continue
-                if not np.all(np.isfinite(g)):
-                    raise TapeError("non-finite gradient encountered during backward")
                 if p.grad is None:
                     p.grad = np.array(g)     # a copy: g may be a view or shared
                 else:

@@ -31,8 +31,15 @@ class TrainConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.epochs < 1 or self.learning_rate <= 0:
+        if self.batch_size < 1 or self.epochs < 1 or not self.learning_rate > 0:
             raise ValueError(f"invalid training configuration {self}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not self.weight_decay >= 0.0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not self.eps > 0.0:
+            raise ValueError(f"eps must be > 0, got {self.eps}")
 
 
 class TrainingDiverged(RuntimeError):
@@ -188,6 +195,11 @@ def evaluate(net: Network, sample_set: SampleSet, part: str = "test") -> Metrics
     if len(idx) == 0:
         raise ValueError(f"split {part!r} is empty")
     labels = sample_set.labels[idx]
+    classes = net.config.num_classes
+    if labels.min() < 1 or labels.max() > classes:
+        raise ValueError(
+            f"split {part!r} has labels {labels.min()}..{labels.max()}, but the "
+            f"network has classes 1..{classes}")
     preds = _predict(net, sample_set.waveforms[idx])
     confusion = np.zeros((net.config.num_classes, net.config.num_classes),
                          dtype=np.int64)

@@ -139,6 +139,28 @@ class TestTrainEval:
         assert cli_dispatch(["eval", "--weights", weights, "--data", data]) == 2
         assert "stem.wEight" in capsys.readouterr().err
 
+    def test_checkpoint_with_fewer_classes_is_runtime_error(self, tmp_path, capsys):
+        data = _gen(tmp_path)
+        weights = os.path.join(tmp_path, "weights.bin")
+        save_checkpoint(build(ModelConfig(input_length=1024, stem=(4, 7, 2),
+                                          stages=((8, (3, 5), 4),),
+                                          encoder=(1, 8, 2, 2), num_classes=5)),
+                        weights)
+        assert cli_dispatch(["eval", "--weights", weights, "--data", data]) == 2
+        err = capsys.readouterr().err
+        assert "classes 1..5" in err and "Traceback" not in err
+
+    def test_adam_beta_out_of_range_is_runtime_error(self, tmp_path, capsys):
+        data = _gen(tmp_path)
+        bad = os.path.join(tmp_path, "bad.cfg")
+        with open(bad, "w") as f:
+            f.write(SMALL_CONFIG + "beta2 = 1.0\n")
+        run = os.path.join(tmp_path, "run")
+        assert cli_dispatch(["train", "--data", data, "--model", "ld-rpmnet",
+                             "--config", bad, "--out", run]) == 2
+        assert "beta2 must be in [0, 1)" in capsys.readouterr().err
+        assert not os.path.exists(run)
+
     def test_length_mismatch_is_runtime_error(self, tmp_path, capsys):
         data = _gen(tmp_path)
         run = os.path.join(tmp_path, "run")

@@ -50,6 +50,24 @@ class TestParamCount:
             assert block.param_count() == mdsc_param_count(cfg)
 
 
+class TestNames:
+    def test_parameters_and_buffers_in_construction_order(self):
+        block = MdscBlock(MdscConfig(2, 3, (5, 3)), seed=0)
+        assert [n for n, _ in block.parameters()] == [
+            "depthwise_k5.weight", "depthwise_k3.weight", "pointwise.weight",
+            "pointwise.bias", "bn.gamma", "bn.beta"]
+        assert block.parameters()[0][1] is block.depthwise[0].weight
+
+    def test_buffers_follow_the_running_statistics(self):
+        # a train-mode forward replaces the BatchNorm state's arrays
+        block = MdscBlock(MdscConfig(2, 3, (3,)), seed=0)
+        block.forward(Tensor(np.ones((2, 2, 8))), mode="train")
+        T.clear_tape()
+        (n_mean, mean), (n_var, var) = block.buffers()
+        assert (n_mean, n_var) == ("bn.running_mean", "bn.running_var")
+        assert mean is block.bn.state.mean and var is block.bn.state.var
+
+
 class TestForward:
     def test_identity_path_reduces_to_gelu(self):
         block = MdscBlock(MdscConfig(1, 1, (1,)), seed=0)

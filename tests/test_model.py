@@ -1,6 +1,9 @@
+import ast
 import hashlib
+import inspect
 import os
 import platform
+import textwrap
 
 import numpy as np
 import numpy.testing as npt
@@ -158,6 +161,15 @@ class TestStandardBlock:
             blk = StandardMultiScaleBlock(cfg, seed=0)
             assert blk.param_count() == standard_multiscale_param_count(cfg)
             assert blk.param_count() > mdsc_param_count(cfg)
+
+    def test_differs_from_mdsc_only_in_grouping_and_names(self):
+        body = ast.parse(textwrap.dedent(inspect.getsource(StandardMultiScaleBlock)))
+        assert not [f.name for f in body.body[0].body if isinstance(f, ast.FunctionDef)]
+        blk = StandardMultiScaleBlock(MdscConfig(3, 5, (3, 5)), seed=0)
+        assert [br.groups for br in blk.depthwise] == [1, 1]
+        assert [n for n, _ in blk.parameters()] == [
+            "branch_k3.weight", "branch_k5.weight", "pointwise.weight",
+            "pointwise.bias", "bn.gamma", "bn.beta"]
 
 
 class TestToggleIsolation:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -78,6 +80,19 @@ class TestAdamW:
         params = [("bad_param", p)]
         with pytest.raises(TrainingDiverged, match="bad_param"):
             adamw_step(params, AdamWState(params), TrainConfig())
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("beta1", -0.1), ("beta1", 1.0), ("beta1", 1.5), ("beta2", 1.0),
+        ("beta2", float("nan")), ("weight_decay", -1.0), ("eps", 0.0),
+        ("eps", -1e-8), ("learning_rate", float("nan"))])
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_edge_values_accepted(self):
+        TrainConfig(beta1=0.0, beta2=0.0, weight_decay=0.0, eps=1e-300)
 
 
 class TestCrossEntropy:
@@ -213,6 +228,11 @@ class TestTrainLoop:
         bare = dataset.SampleSet(corpus.waveforms[:4], corpus.labels[:4])
         with pytest.raises(ValueError, match="empty"):
             evaluate(net, bare)
+
+    def test_labels_beyond_the_head_rejected(self, corpus):
+        net = build_preset("ld-rpmnet", base=replace(SMALL, num_classes=5), seed=0)
+        with pytest.raises(ValueError, match=r"labels 1\.\.10.*classes 1\.\.5"):
+            evaluate(net, corpus)
 
     def test_constant_predictor_accuracy(self, corpus):
         net = build_preset("ld-rpmnet", base=SMALL, seed=0)
