@@ -1,7 +1,8 @@
 """A walk through the reverse-mode engine on paper-sized examples.
 
-The whole library runs on one global tape: every op appends a node, and
-``backward`` sweeps the tape in reverse.  This script builds a few tiny
+Every op output that needs a gradient keeps a node on itself: its parents
+and a backward function.  ``backward`` runs the nodes reachable from the
+loss, newest first, then detaches them.  This script builds a few tiny
 graphs, prints analytic gradients next to hand-derived ones, and finishes
 with a finite-difference check on a composite expression.
 """
@@ -32,18 +33,24 @@ print("\nbroadcast scalar: grad(w) =", w.grad, " (expect sum(v) =",
       v.data.sum(), ")")
 
 # ---------------------------------------------------------------------------
-# 3. the tape is consumed by backward; a second call is an error
+# 3. backward consumes the loss's graph; a second call is an error, and a
+#    forward that is dropped frees its graph with it
 # ---------------------------------------------------------------------------
 z = Tensor(np.ones(2), requires_grad=True)
+unused = T.mean(z * z)
+print("\nnodes held while mean(z * z) is alive:", T.tape_len())
+del unused
+print("after it is dropped:", T.tape_len())
 loss = T.mean(z * z)
 loss.backward()
+print("after backward:", T.tape_len())
 try:
     loss.backward()
 except T.TapeError as exc:
     print("\nsecond backward correctly refused:", exc)
 
 # ---------------------------------------------------------------------------
-# 4. finite differences agree with the tape on a composite chain
+# 4. finite differences agree with backward on a composite chain
 # ---------------------------------------------------------------------------
 rng = np.random.Generator(np.random.Philox(key=0))
 a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)

@@ -23,6 +23,7 @@ SAMPLE_RATE = 10_000
 WAVEFORM_MAGIC = b"LDWF1"
 
 CLASS_COUNTS = (121, 180, 158, 120, 124, 84, 80, 113, 112, 120)
+CLASS_IDS = range(1, len(CLASS_COUNTS) + 1)
 TOTAL_SAMPLES = sum(CLASS_COUNTS)            # 1212
 SPLIT_SIZES = (845, 245, 122)                # train / val / test
 
@@ -92,7 +93,7 @@ RECIPES = {
 @dataclass
 class SampleSet:
     waveforms: np.ndarray               # [n, input_length] float64
-    labels: np.ndarray                  # [n] int, class ids 1..10
+    labels: np.ndarray                  # [n] int, ids from CLASS_IDS
     split: np.ndarray = field(default=None)  # [n] of '', 'train', 'val', 'test'
 
     def __post_init__(self):
@@ -170,7 +171,7 @@ def generate(seed: int, input_length: int = 8192) -> SampleSet:
     waveforms = np.empty((TOTAL_SAMPLES, input_length))
     labels = np.empty(TOTAL_SAMPLES, dtype=np.int64)
     i = 0
-    for class_id, count in zip(range(1, 11), CLASS_COUNTS):
+    for class_id, count in zip(CLASS_IDS, CLASS_COUNTS):
         recipe = RECIPES[class_id]
         for _ in range(count):
             rng = _sample_stream(seed, i)
@@ -190,7 +191,7 @@ def _apportion(target: int, weights: np.ndarray) -> np.ndarray:
 
 def split(sample_set: SampleSet, seed: int) -> SampleSet:
     """Stratified 7:2:1 assignment with exact global split sizes."""
-    counts = np.array([sample_set.class_counts().get(c, 0) for c in range(1, 11)])
+    counts = np.array([sample_set.class_counts().get(c, 0) for c in CLASS_IDS])
     if counts.min() < 3:
         raise ValueError(
             f"stratified split needs >= 3 samples per class, got {counts.tolist()}")
@@ -206,7 +207,7 @@ def split(sample_set: SampleSet, seed: int) -> SampleSet:
     test_c = np.minimum(test_c, counts - 2)      # keep every class in every split
     val_c = np.minimum(val_c, counts - test_c - 1)
     assignment = np.full(total, "train", dtype="U5")
-    for ci, class_id in enumerate(range(1, 11)):
+    for ci, class_id in enumerate(CLASS_IDS):
         idx = np.flatnonzero(sample_set.labels == class_id)
         rng = np.random.Generator(np.random.Philox(
             key=np.array([seed, 10_000 + class_id], dtype=np.uint64)))
@@ -270,8 +271,8 @@ def load(path) -> SampleSet:
     waveforms, labels, splits = [], [], []
     for _, cls, part, name in rows:
         cls = int(cls)
-        if not 1 <= cls <= 10:
-            raise ManifestError(f"class id {cls} outside 1..10")
+        if cls not in CLASS_IDS:
+            raise ManifestError(f"class id {cls} outside 1..{CLASS_IDS[-1]}")
         if part not in ("", "train", "val", "test"):
             raise ManifestError(f"bad split label {part!r}")
         waveforms.append(_load_waveform(os.path.join(path, name)))
@@ -297,7 +298,7 @@ def rms_centroid_accuracy(sample_set: SampleSet) -> float:
     rms = np.sqrt((sample_set.waveforms ** 2).mean(axis=1))
     train = sample_set.indices("train")
     test = sample_set.indices("test")
-    classes = np.arange(1, 11)
+    classes = np.array(CLASS_IDS)
     centroids = np.array([
         rms[train][sample_set.labels[train] == c].mean() for c in classes])
     pred = classes[np.argmin(

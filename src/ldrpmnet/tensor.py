@@ -1,16 +1,17 @@
-"""Dense float64 tensors with tape-based reverse-mode automatic differentiation.
+"""Dense float64 tensors with graph-based reverse-mode automatic differentiation.
 
 Everything downstream (conv blocks, attention, the full network) is built on
 the primitives in this module.  Design points:
 
 * float64 everywhere; desk scale makes the memory cost irrelevant and keeps
   gradient-check tolerances tight.
-* A single module-level tape records operations in execution order; backward
-  traverses it in strict reverse order and then clears it.
-* Tensors are value-semantic; nothing here touches shared global state other
-  than the tape, which is confined to one thread of execution, and the
-  process's malloc thresholds, which importing the module fixes on glibc
-  (see `_keep_freed_heap`).
+* Each op output that needs a gradient keeps its graph node (creation number,
+  parents, backward function); backward runs the nodes reachable from the
+  loss newest first, then detaches them, so a graph lives as long as its loss.
+* Tensors are value-semantic and grad mode is per thread.  Shared state: the
+  node counter, a weak set of the tensors holding a node, and the process's
+  malloc thresholds, which importing the module fixes on glibc (see
+  `_keep_freed_heap`).
 * conv1d takes a depthwise path when groups == C_in == C_out (every MDSC
   branch): each batch block is copied into zero-padded contiguous rows and
   the k taps are shifted multiply-adds over the flattened rows, forward and
@@ -22,7 +23,10 @@ the primitives in this module.  Design points:
 from __future__ import annotations
 
 import ctypes
+import itertools
 import sys
+import threading
+import weakref
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -30,7 +34,7 @@ from scipy.special import ndtr as _ndtr
 
 __all__ = [
     "Tensor", "DimensionError", "ConfigurationError", "TapeError",
-    "no_grad", "backward", "tape_len", "tape_node_sizes", "clear_tape",
+    "no_grad", "backward", "tape_len", "tape_node_sizes",
     "add", "sub", "mul", "matmul", "reshape", "transpose", "concat",
     "tsum", "mean", "max_pool1d", "softmax", "gelu", "layer_norm",
     "linear", "conv1d", "batchnorm1d", "cross_entropy", "BnState",
@@ -79,64 +83,77 @@ class TapeError(RuntimeError):
 
 
 # --------------------------------------------------------------------------
-# tape machinery
+# autodiff graph
 # --------------------------------------------------------------------------
 
-_TAPE: list = []          # (out, parents, backward_fn) in execution order
-_GRAD_ENABLED = [True]
+class _GradMode(threading.local):
+    enabled = True                 # every thread starts with recording on
+
+
+_GRAD_MODE = _GradMode()
+_SEQ = itertools.count()           # creation order of recorded nodes
+_RECORDED = weakref.WeakSet()      # tensors that hold a node; keeps none alive
 
 
 class no_grad:
-    """Context manager that disables tape recording (eval / oracle paths)."""
+    """Context manager that turns off recording in this thread (eval, oracles)."""
 
     def __enter__(self):
-        self._prev = _GRAD_ENABLED[0]
-        _GRAD_ENABLED[0] = False
+        self._prev = _GRAD_MODE.enabled
+        _GRAD_MODE.enabled = False
         return self
 
     def __exit__(self, *exc):
-        _GRAD_ENABLED[0] = self._prev
+        _GRAD_MODE.enabled = self._prev
         return False
 
 
 def tape_len() -> int:
-    return len(_TAPE)
+    """Number of live tensors, in any thread, that still hold a graph node."""
+    return len(_RECORDED)
 
 
 def tape_node_sizes() -> list[int]:
-    """Element counts of every intermediate recorded on the active tape."""
-    return [node[0].data.size for node in _TAPE]
+    """Element counts of the live tensors that still hold a graph node."""
+    return [t.data.size for t in _RECORDED]
 
 
-def clear_tape() -> None:
-    _TAPE.clear()
-
-
-def _record(out: "Tensor", parents, backward_fn) -> "Tensor":
-    if _GRAD_ENABLED[0] and any(p.requires_grad for p in parents):
+def _record(data, parents, backward_fn) -> "Tensor":
+    """Op output `data` as a tensor, with a node if a parent needs a gradient."""
+    out = Tensor(data)
+    if _GRAD_MODE.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        _TAPE.append((out, tuple(parents), backward_fn))
+        out._node = (next(_SEQ), tuple(parents), backward_fn)
+        _RECORDED.add(out)
     return out
 
 
 def backward(loss: "Tensor") -> None:
-    """Reverse-traverse the tape, accumulating dLoss/dLeaf into leaf .grad.
+    """Accumulate dLoss/dLeaf into leaf .grad over the graph behind `loss`.
 
-    The tape is cleared afterwards; calling backward again on the same loss
-    raises (grad accumulation across backward calls is not supported).
+    The nodes reachable from `loss` run newest first, so each runs after all
+    its consumers, and are then detached; calling backward again on the same
+    loss raises (grad accumulation across backward calls is not supported).
     """
     if loss.data.size != 1:
         raise TapeError(f"loss must be scalar, got shape {loss.shape}")
-    on_tape = any(node[0] is loss for node in _TAPE)
-    if not on_tape:
+    if loss._node is None:
         raise TapeError(
-            "loss is not on the active tape (tape already consumed by a "
-            "previous backward, or loss was computed under no_grad)")
+            "loss holds no autodiff tape (consumed by a previous backward, "
+            "or loss was computed under no_grad)")
+    nodes, stack = {loss}, [loss]
+    while stack:
+        for p in stack.pop()._node[1]:
+            if p._node is not None and p not in nodes:
+                nodes.add(p)
+                stack.append(p)
+    order = sorted(nodes, key=lambda t: t._node[0], reverse=True)
     loss.grad = np.ones_like(loss.data)
     try:
-        for out, parents, fn in reversed(_TAPE):
+        for out in order:
             if out.grad is None:
                 continue
+            _, parents, fn = out._node
             grads = fn(out.grad)
             for p, g in zip(parents, grads):
                 if g is None or not p.requires_grad:
@@ -146,10 +163,10 @@ def backward(loss: "Tensor") -> None:
                 else:
                     p.grad += g
     finally:
-        for out, _, _ in _TAPE:
-            if not out.is_leaf:
-                out.grad = None
-        _TAPE.clear()
+        for out in order:
+            out._node = None
+            out.grad = None
+            _RECORDED.discard(out)
 
 
 # --------------------------------------------------------------------------
@@ -159,13 +176,13 @@ def backward(loss: "Tensor") -> None:
 class Tensor:
     """Dense N-dimensional float64 array with an optional gradient."""
 
-    __slots__ = ("data", "grad", "requires_grad", "is_leaf")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self.is_leaf = True
+        self._node = None      # (seq, parents, backward_fn) until consumed
 
     # -- introspection ----------------------------------------------------
     @property
@@ -238,12 +255,6 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _out(data) -> Tensor:
-    t = Tensor(data)
-    t.is_leaf = False
-    return t
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a gradient over axes introduced or stretched by broadcasting."""
     extra = g.ndim - len(shape)
@@ -261,32 +272,29 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = _out(a.data + b.data)
 
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    return _record(out, (a, b), bwd)
+    return _record(a.data + b.data, (a, b), bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = _out(a.data - b.data)
 
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
-    return _record(out, (a, b), bwd)
+    return _record(a.data - b.data, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = _out(a.data * b.data)
 
     def bwd(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
-    return _record(out, (a, b), bwd)
+    return _record(a.data * b.data, (a, b), bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -297,36 +305,33 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(
             f"matmul inner axes disagree: {a.shape}[-1] != {b.shape}[-2]")
-    out = _out(np.matmul(a.data, b.data))
 
     def bwd(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
-    return _record(out, (a, b), bwd)
+    return _record(np.matmul(a.data, b.data), (a, b), bwd)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     a = _as_tensor(a)
-    out = _out(a.data.reshape(shape))
 
     def bwd(g):
         return (g.reshape(a.shape),)
 
-    return _record(out, (a,), bwd)
+    return _record(a.data.reshape(shape), (a,), bwd)
 
 
 def transpose(a: Tensor, axes) -> Tensor:
     a = _as_tensor(a)
     axes = tuple(axes)
-    out = _out(np.transpose(a.data, axes))
     inv = tuple(np.argsort(axes))
 
     def bwd(g):
         return (np.transpose(g, inv),)
 
-    return _record(out, (a,), bwd)
+    return _record(np.transpose(a.data, axes), (a,), bwd)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -342,7 +347,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
                 raise DimensionError(
                     f"concat operand {i} differs on non-concatenated axis {ax}: "
                     f"{sb} vs {sa}")
-    out = _out(np.concatenate([t.data for t in tensors], axis=axis))
+    y = np.concatenate([t.data for t in tensors], axis=axis)
     lead = (slice(None),) * (axis % len(ref))
     bounds = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
@@ -350,34 +355,29 @@ def concat(tensors, axis: int = 0) -> Tensor:
         return tuple(g[lead + (slice(lo, hi),)]
                      for lo, hi in zip(bounds[:-1], bounds[1:]))
 
-    return _record(out, tuple(tensors), bwd)
+    return _record(y, tuple(tensors), bwd)
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
-    out = _out(a.data.sum(axis=axis, keepdims=keepdims))
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        g2 = g if keepdims else np.expand_dims(g, axis)
+        g2 = g if keepdims or axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(g2, a.shape).copy(),)
 
-    return _record(out, (a,), bwd)
+    return _record(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
 
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
-    out = _out(a.data.mean(axis=axis, keepdims=keepdims))
+    y = a.data.mean(axis=axis, keepdims=keepdims)
     n = a.size if axis is None else a.shape[axis]
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g / n, a.shape).copy(),)
-        g2 = g if keepdims else np.expand_dims(g, axis)
+        g2 = g if keepdims or axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(g2 / n, a.shape).copy(),)
 
-    return _record(out, (a,), bwd)
+    return _record(y, (a,), bwd)
 
 
 # --------------------------------------------------------------------------
@@ -388,7 +388,6 @@ def gelu(a: Tensor) -> Tensor:
     """Exact GELU x * Phi(x), with Phi the Gaussian CDF (`ndtr`, no tanh)."""
     a = _as_tensor(a)
     phi = _ndtr(a.data)
-    out = _out(a.data * phi)
 
     def bwd(g):
         # g * (phi + x * pdf(x)), built in one buffer
@@ -401,7 +400,7 @@ def gelu(a: Tensor) -> Tensor:
         t *= g
         return (t,)
 
-    return _record(out, (a,), bwd)
+    return _record(a.data * phi, (a,), bwd)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -409,13 +408,12 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = _out(y)
 
     def bwd(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
         return (y * (g - dot),)
 
-    return _record(out, (a,), bwd)
+    return _record(y, (a,), bwd)
 
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -429,8 +427,6 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     var = a.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (a.data - mu) * inv
-    out = _out(gamma.data * xhat + beta.data)
-    d = a.shape[-1]
 
     def bwd(g):
         dg = (g * xhat).sum(axis=tuple(range(g.ndim - 1)))
@@ -442,7 +438,7 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         # note: uses biased variance, hence plain means above
         return dx, dg, db
 
-    return _record(out, (a, gamma, beta), bwd)
+    return _record(gamma.data * xhat + beta.data, (a, gamma, beta), bwd)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -482,7 +478,6 @@ def max_pool1d(a: Tensor, kernel: int) -> Tensor:
     y = a.data[..., 0:m:kernel].copy()
     for j in range(1, kernel):
         np.maximum(y, a.data[..., j:m:kernel], out=y)
-    out = _out(y)
 
     def bwd(g):
         # the gradient goes to the first maximum of each window
@@ -493,7 +488,7 @@ def max_pool1d(a: Tensor, kernel: int) -> Tensor:
         gx[..., :m] = gw.reshape(lead + (m,))
         return (gx,)
 
-    return _record(out, (a,), bwd)
+    return _record(y, (a,), bwd)
 
 
 # --------------------------------------------------------------------------
@@ -678,19 +673,19 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
             f"input length {n} + 2*padding {padding} shorter than kernel {k}")
 
     if groups == cin == cout:
-        y = _out(_depthwise_raw(x3.data, weight.data, stride, padding))
+        y = _depthwise_raw(x3.data, weight.data, stride, padding)
 
         def bwd(g):
             return _depthwise_grads(x3.data, weight.data, g, stride, padding)
     elif k == 1 and groups == 1 and stride == 1 and padding == 0:
         w2 = weight.data[:, :, 0]
-        y = _out(w2 @ x3.data)
+        y = w2 @ x3.data
 
         def bwd(g):
             gw = (g @ np.swapaxes(x3.data, 1, 2)).sum(axis=0)
             return w2.T @ g, gw[:, :, None]
     else:
-        y = _out(_conv_raw(x3.data, weight.data, stride, padding, groups))
+        y = _conv_raw(x3.data, weight.data, stride, padding, groups)
 
         def bwd(g):
             gx = _conv_input_grad(g, weight.data, stride, padding, groups, n)
@@ -753,7 +748,7 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor, state: BnState,
             xhat = (x.data - mu[:, None]) * inv[:, None]
             return g * scale[:, None], (g * xhat).sum(axis=(0, 2)), g.sum(axis=(0, 2))
 
-        return _record(_out(y), (x, gamma, beta), eval_bwd)
+        return _record(y, (x, gamma, beta), eval_bwd)
 
     m = b * n
     if m < 2:
@@ -780,7 +775,7 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor, state: BnState,
         dx *= (gamma.data * inv)[:, None]
         return dx, dg, db
 
-    return _record(_out(y), (x, gamma, beta), bwd)
+    return _record(y, (x, gamma, beta), bwd)
 
 
 # --------------------------------------------------------------------------
@@ -805,7 +800,6 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     zmax = z.max(axis=1, keepdims=True)
     lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
     picked = z[np.arange(b), idx]
-    out = _out(np.mean(lse - picked))
     p = np.exp(z - zmax)
     p /= p.sum(axis=1, keepdims=True)
 
@@ -814,4 +808,4 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         gz[np.arange(b), idx] -= 1.0
         return (g * gz / b,)
 
-    return _record(out, (logits,), bwd)
+    return _record(np.mean(lse - picked), (logits,), bwd)

@@ -94,7 +94,7 @@ class MetricsReport:
     precision: float                   # macro
     recall: float                      # macro
     f1: float                          # macro
-    confusion: np.ndarray              # [10, 10], rows = true class
+    confusion: np.ndarray              # [classes, classes], rows = true class
     inference_seconds: float = 0.0
 
     def to_csv(self) -> str:

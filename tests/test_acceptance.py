@@ -162,7 +162,6 @@ def test_criterion_7_capacity_sanity(reduced_corpus):
     # the loss of the very first training forward, before any update
     initial = T.cross_entropy(net.forward(Tensor(x), mode="train"),
                               labels).item()
-    T.clear_tape()
     assert abs(initial - np.log(10.0)) <= 0.3, f"initial loss {initial:.4f}"
 
     params = net.parameters()

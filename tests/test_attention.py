@@ -147,10 +147,8 @@ class TestBsa:
         n, d = 50, 4
         x = Tensor(np.random.default_rng(0).normal(size=(1, n, d)),
                    requires_grad=True)
-        T.clear_tape()
-        block.forward(x)
+        y = block.forward(x)    # holds the graph while its nodes are read
         sizes = T.tape_node_sizes()
-        T.clear_tape()
         assert max(sizes) <= 4 * n * d
         assert max(sizes) < n * n
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ldrpmnet import mdsc, model
+from ldrpmnet import tensor as T
 from ldrpmnet.model import REDUCED_CONFIG
 from ldrpmnet.tensor import Tensor, no_grad
 
@@ -50,3 +51,16 @@ def test_one_span_per_block_under_its_class(preset, span):
         # copy of the inherited forward; drop it so the class is as defined
         if inherited and "forward" in vars(model.StandardMultiScaleBlock):
             del model.StandardMultiScaleBlock.forward
+
+
+def test_tape_metrics_read_the_live_graph():
+    # tensor.tape_len.nodes and tensor.tape_bytes.mb of train-ld, as
+    # bench/README.md quotes them, and check_tape_empty after inference
+    net = model.build_preset("ld-rpmnet", base=REDUCED_CONFIG, seed=0)
+    x = Tensor(np.ones((16, 1, REDUCED_CONFIG.input_length)))
+    loss = T.cross_entropy(net.forward(x, mode="train"), np.arange(16) % 10 + 1)
+    assert tracing._tape_attrs(loss) == (94, 4_072_729 * 8)
+    del loss
+    with no_grad():
+        net.forward(x, mode="eval")
+    assert T.tape_len() == 0

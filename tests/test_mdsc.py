@@ -62,7 +62,6 @@ class TestNames:
         # a train-mode forward replaces the BatchNorm state's arrays
         block = MdscBlock(MdscConfig(2, 3, (3,)), seed=0)
         block.forward(Tensor(np.ones((2, 2, 8))), mode="train")
-        T.clear_tape()
         (n_mean, mean), (n_var, var) = block.buffers()
         assert (n_mean, n_var) == ("bn.running_mean", "bn.running_var")
         assert mean is block.bn.state.mean and var is block.bn.state.var

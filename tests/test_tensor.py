@@ -332,7 +332,6 @@ class TestBackward:
         y = T.mul(x, x)
         with pytest.raises(T.TapeError, match="scalar"):
             y.backward()
-        T.clear_tape()
 
     def test_repeated_backward_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)

@@ -1,3 +1,6 @@
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +8,7 @@ import numpy.testing as npt
 import pytest
 
 from ldrpmnet import dataset, tensor as T
-from ldrpmnet.model import ModelConfig, build, build_preset
+from ldrpmnet.model import REDUCED_CONFIG, ModelConfig, build, build_preset
 from ldrpmnet.tensor import Tensor
 from ldrpmnet.train import (AdamWState, MetricsReport, TrainConfig,
                             accuracy_on, adamw_step, evaluate,
@@ -173,7 +176,6 @@ class TestTrainLoop:
                              mode="train")
         loss = T.cross_entropy(logits, corpus.labels[idx])
         value = loss.item()
-        T.clear_tape()
         assert abs(value - LN10) <= 0.3
 
     def test_overfit_single_batch(self, corpus):
@@ -242,3 +244,50 @@ class TestTrainLoop:
         test_labels = corpus.labels[corpus.indices("test")]
         expected = (test_labels == 2).mean()
         assert accuracy_on(net, corpus, "test") == expected
+
+
+class TestGraphOwnership:
+    """Each autodiff graph belongs to the tensors that reach it and grad mode
+    to the thread that set it, so nothing outlives its caller."""
+
+    def test_threads_train_as_if_one_after_the_other(self, corpus):
+        def run(seed):
+            net = build_preset("ld-rpmnet", base=SMALL, seed=seed)
+            net, trace = train(net, corpus, TrainConfig(epochs=2, seed=seed))
+            return [p.data.copy() for _, p in net.parameters()], trace
+
+        seeds = (0, 1, 2)                   # more threads than a 2-core host
+        expected = [run(s) for s in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(len(seeds)) as pool:
+                futures = [pool.submit(run, s) for s in seeds]
+                got = [f.result(timeout=300) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for (want_params, want_trace), (params, trace) in zip(expected, got):
+            assert trace == want_trace
+            for want, p in zip(want_params, params):
+                npt.assert_array_equal(p, want)
+
+    def test_dropped_forward_frees_its_graph(self):
+        net = build_preset("ld-rpmnet", base=REDUCED_CONFIG, seed=0)
+        x = Tensor(np.ones((2, 1, REDUCED_CONFIG.input_length)))
+        y = net.forward(x, mode="train")
+        assert T.tape_len() > 0
+        del y
+        assert T.tape_len() == 0
+
+    def test_dropped_loss_is_freed_after_a_train_step(self, corpus):
+        net = build_preset("ld-rpmnet", base=SMALL, seed=0)
+        idx = corpus.indices("train")[:16]
+        params = net.parameters()
+        loss = T.cross_entropy(
+            net.forward(Tensor(corpus.waveforms[idx][:, None, :]), mode="train"),
+            corpus.labels[idx])
+        loss.backward()
+        adamw_step(params, AdamWState(params), TrainConfig())
+        ref = weakref.ref(loss)
+        del loss
+        assert ref() is None
