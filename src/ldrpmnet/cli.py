@@ -62,6 +62,15 @@ def _load_configs(path: str | None) -> tuple[ModelConfig, TrainConfig]:
     return config_mod.load_config(path)
 
 
+def _load_dataset(path: str, model_cfg: ModelConfig) -> dataset.SampleSet:
+    samples = dataset.load(path)
+    if samples.input_length != model_cfg.input_length:
+        raise CliError(
+            f"dataset length {samples.input_length} != configured "
+            f"input_length {model_cfg.input_length}")
+    return samples
+
+
 def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
@@ -93,11 +102,7 @@ def _cmd_train(args) -> int:
     if args.seed is not None:
         train_cfg.seed = args.seed
     _prepare_out_dir(args.out, args.force)
-    samples = dataset.load(args.data)
-    if samples.input_length != model_cfg.input_length:
-        raise CliError(
-            f"dataset length {samples.input_length} != configured "
-            f"input_length {model_cfg.input_length}")
+    samples = _load_dataset(args.data, model_cfg)
     net = build_preset(args.model, base=model_cfg, seed=train_cfg.seed)
     print(f"training {args.model} ({net.param_count()} params, "
           f"{train_cfg.epochs} epochs)", file=sys.stderr)
@@ -163,11 +168,7 @@ def _cmd_ablate(args) -> int:
     model_cfg, train_cfg = _load_configs(args.config)
     train_cfg.seed = args.seed
     _prepare_out_dir(args.out, args.force)
-    samples = dataset.load(args.data)
-    if samples.input_length != model_cfg.input_length:
-        raise CliError(
-            f"dataset length {samples.input_length} != configured "
-            f"input_length {model_cfg.input_length}")
+    samples = _load_dataset(args.data, model_cfg)
     print("running four-way ablation (this trains four networks)",
           file=sys.stderr)
     results = ablate(samples, args.seed, base=model_cfg, train_config=train_cfg)

@@ -21,9 +21,10 @@ _MODEL_KEYS = {
     "stem_stride", "kernel_sizes", "stage_channels", "pool_strides",
     "model_dim", "depth", "ffn_expansion", "heads", "num_classes",
 }
-_TRAIN_KEYS = {
-    "batch_size", "learning_rate", "epochs", "seed", "weight_decay",
-    "beta1", "beta2", "adam_eps",
+_TRAIN_FIELDS = {                  # config key -> TrainConfig field
+    "batch_size": "batch_size", "learning_rate": "learning_rate",
+    "epochs": "epochs", "seed": "seed", "weight_decay": "weight_decay",
+    "beta1": "beta1", "beta2": "beta2", "adam_eps": "eps",
 }
 
 
@@ -37,7 +38,7 @@ def _parse_lines(text: str) -> dict:
             raise ConfigFileError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _MODEL_KEYS | _TRAIN_KEYS:
+        if key not in _MODEL_KEYS | _TRAIN_FIELDS.keys():
             raise ConfigFileError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigFileError(f"line {lineno}: duplicate key {key!r}")
@@ -104,16 +105,11 @@ def parse_config(text: str) -> tuple[ModelConfig, TrainConfig]:
                  get("heads", base.encoder[3], int)),
         num_classes=get("num_classes", base.num_classes, int),
     )
-    train = TrainConfig(
-        batch_size=get("batch_size", 16, int),
-        learning_rate=get("learning_rate", 0.001, float),
-        epochs=get("epochs", 50, int),
-        seed=get("seed", 0, int),
-        weight_decay=get("weight_decay", 0.01, float),
-        beta1=get("beta1", 0.9, float),
-        beta2=get("beta2", 0.999, float),
-        eps=get("adam_eps", 1e-8, float),
-    )
+    train_base = TrainConfig()
+    train = TrainConfig(**{
+        field: get(key, getattr(train_base, field),
+                   type(getattr(train_base, field)))
+        for key, field in _TRAIN_FIELDS.items()})
     return model, train
 
 

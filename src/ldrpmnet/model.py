@@ -70,6 +70,13 @@ class ModelConfig:
                 f"model_dim {self.encoder[1]}")
         if self.num_classes < 2:
             raise ConfigurationError("need at least two classes")
+        sizes = (("stem_channels", self.stem[0]), ("stem_kernel", self.stem[1]),
+                 ("stem_stride", self.stem[2]), ("model_dim", self.encoder[1]),
+                 ("ffn_expansion", self.encoder[2]), ("heads", self.encoder[3]))
+        sizes += tuple(("pool_strides", p) for _, _, p in self.stages)
+        for name, value in sizes:
+            if value < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {value}")
 
     @property
     def token_count(self) -> int:

@@ -12,12 +12,11 @@ the primitives in this module.  Design points:
   node counter, a weak set of the tensors holding a node, and the process's
   malloc thresholds, which importing the module fixes on glibc (see
   `_keep_freed_heap`).
-* conv1d takes a depthwise path when groups == C_in == C_out (every MDSC
-  branch): each batch block is copied into zero-padded contiguous rows and
-  the k taps are shifted multiply-adds over the flattened rows, forward and
-  backward.
-  A pointwise conv (k == 1, one group, stride 1, no padding) is one matmul.
-  Every other grouping correlates strided windows with one einsum.
+* conv1d has two paths.  When groups == C_in == C_out (every MDSC branch),
+  each batch block is copied into zero-padded contiguous rows and the k
+  taps are shifted multiply-adds over the flattened rows, forward and
+  backward.  Every other grouping is a GEMM per group over im2col columns;
+  a pointwise conv's columns are the input itself, without a copy.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import threading
 import weakref
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import ndtr as _ndtr
 
 __all__ = [
@@ -495,63 +493,40 @@ def max_pool1d(a: Tensor, kernel: int) -> Tensor:
 # convolution
 # --------------------------------------------------------------------------
 
-def _windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
-    w = sliding_window_view(x, k, axis=2)
-    return w[:, :, ::stride, :]
+def _im2col(x: np.ndarray, k: int, stride: int, padding: int,
+            groups: int) -> np.ndarray:
+    """Columns [B, groups, C_in/groups*k, N_out] of a grouped conv's input.
 
-
-def _conv_raw(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
-              groups: int) -> np.ndarray:
-    """Grouped cross-correlation on [B, C_in, N] -> [B, C_out, N_out]."""
+    Row c*k + j of group g holds input channel g*C_in/groups + c seen through
+    tap j (k strided copies), so the conv is the GEMM
+    weight.reshape(groups, C_out/groups, C_in/groups*k) @ cols.  A pointwise
+    input (k == 1, stride 1, padding 0) is reshaped without a copy.
+    """
     b, cin, n = x.shape
-    cout, cg, k = w.shape
+    if k == 1 and stride == 1 and padding == 0:
+        return x.reshape(b, groups, cin // groups, n)
+    n_out = (n + 2 * padding - k) // stride + 1
     if padding:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
-    win = _windows(x, k, stride)        # [B, Cin, N_out, k]
-    if groups == 1:
-        return np.einsum("bcnk,ock->bon", win, w, optimize=True)
-    og = cout // groups
-    wing = win.reshape(b, groups, cg, win.shape[2], k)
-    wg = w.reshape(groups, og, cg, k)
-    y = np.einsum("bgcnk,gock->bgon", wing, wg, optimize=True)
-    return y.reshape(b, cout, win.shape[2])
+    cols = np.empty((b, cin, k, n_out))
+    for j in range(k):
+        cols[:, :, j] = x[:, :, j:j + stride * (n_out - 1) + 1:stride]
+    return cols.reshape(b, groups, cin // groups * k, n_out)
 
 
-def _conv_weight_grad(x: np.ndarray, gy: np.ndarray, k: int, stride: int,
-                      padding: int, groups: int) -> np.ndarray:
-    b, cin, n = x.shape
-    cout = gy.shape[1]
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
-    win = _windows(x, k, stride)[:, :, : gy.shape[2], :]
-    if groups == 1:
-        return np.einsum("bcnk,bon->ock", win, gy, optimize=True)
-    cg, og = cin // groups, cout // groups
-    wing = win.reshape(b, groups, cg, win.shape[2], k)
-    gyg = gy.reshape(b, groups, og, gy.shape[2])
-    gw = np.einsum("bgcnk,bgon->gock", wing, gyg, optimize=True)
-    return gw.reshape(cout, cg, k)
-
-
-def _conv_input_grad(gy: np.ndarray, w: np.ndarray, stride: int, padding: int,
-                     groups: int, n_in: int) -> np.ndarray:
-    b, cout, n_out = gy.shape
-    _, cg, k = w.shape
-    cin = cg * groups
-    og = cout // groups
-    # dilate by stride, pad by k-1, correlate with the flipped/transposed kernel
-    gy_d = gy
-    if stride > 1:
-        gy_d = np.zeros((b, cout, (n_out - 1) * stride + 1))
-        gy_d[:, :, ::stride] = gy
-    wt = (w.reshape(groups, og, cg, k)
-          .transpose(0, 2, 1, 3)[..., ::-1]
-          .reshape(cin, og, k))
-    gxp = _conv_raw(gy_d, np.ascontiguousarray(wt), 1, k - 1, groups)
-    total = n_in + 2 * padding
-    if gxp.shape[2] < total:           # tail positions the kernel never reached
-        gxp = np.pad(gxp, ((0, 0), (0, 0), (0, total - gxp.shape[2])))
-    return gxp[:, :, padding: padding + n_in]
+def _col2im(cols: np.ndarray, shape: tuple, k: int, stride: int,
+            padding: int) -> np.ndarray:
+    """Adjoint of `_im2col`: k strided adds of the columns into zeroed
+    padded rows of an input of `shape`, with the padding then cut off."""
+    b, cin, n = shape
+    n_out = cols.shape[-1]
+    cols = cols.reshape(b, cin, k, n_out)
+    if k == 1 and stride == 1 and padding == 0:
+        return cols.reshape(shape)
+    gx = np.zeros((b, cin, n + 2 * padding))
+    for j in range(k):
+        gx[:, :, j:j + stride * (n_out - 1) + 1:stride] += cols[:, :, j]
+    return gx[:, :, padding:padding + n]
 
 
 # Elements of one batch block of padded rows on the depthwise path
@@ -638,14 +613,13 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     """Grouped 1-D cross-correlation (no kernel flip).
 
     Accepts [C_in, N] or [B, C_in, N] input; weight is [C_out, C_in/groups, k].
-    groups == C_in gives the depthwise case.  When also C_out == C_in, each
-    batch block of the input is copied into zero-padded rows, and the
-    forward adds the rows, scaled by each per-channel tap, shifted by the
-    tap along the flattened block; the backward shifts the output gradient
-    back the same way.  No window copy is made.  A pointwise conv (k == 1,
-    groups == 1, stride 1, padding 0) is the matmul weight[:, :, 0] @ x.
-    Any other grouping (C_out a multiple of C_in included) goes through the
-    grouped-window einsum.
+    Depthwise (groups == C_in == C_out): each batch block of the input is
+    copied into zero-padded rows; the forward adds the rows, scaled by each
+    per-channel tap, shifted by the tap along the flattened block, and the
+    backward shifts the output gradient back the same way.  Any other
+    grouping (C_out a multiple of C_in included) multiplies the grouped
+    weight with the `_im2col` columns; its backward scatters the column
+    gradient back with `_col2im`, unless the input needs no gradient.
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
     squeeze = x.ndim == 2
@@ -677,20 +651,20 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
 
         def bwd(g):
             return _depthwise_grads(x3.data, weight.data, g, stride, padding)
-    elif k == 1 and groups == 1 and stride == 1 and padding == 0:
-        w2 = weight.data[:, :, 0]
-        y = w2 @ x3.data
-
-        def bwd(g):
-            gw = (g @ np.swapaxes(x3.data, 1, 2)).sum(axis=0)
-            return w2.T @ g, gw[:, :, None]
     else:
-        y = _conv_raw(x3.data, weight.data, stride, padding, groups)
+        og = cout // groups
+        cols = _im2col(x3.data, k, stride, padding, groups)
+        w2 = weight.data.reshape(groups, og, cg * k)
+        y = (w2 @ cols).reshape(b, cout, cols.shape[-1])
 
         def bwd(g):
-            gx = _conv_input_grad(g, weight.data, stride, padding, groups, n)
-            gw = _conv_weight_grad(x3.data, g, k, stride, padding, groups)
-            return gx, gw
+            gg = g.reshape(b, groups, og, g.shape[-1])
+            gw = (gg @ np.swapaxes(cols, -1, -2)).sum(axis=0)
+            gx = None
+            if x3.requires_grad:     # the stem's waveform input needs none
+                gx = _col2im(np.swapaxes(w2, -1, -2) @ gg, x3.shape, k,
+                             stride, padding)
+            return gx, gw.reshape(weight.shape)
 
     y = _record(y, (x3, weight), bwd)
     if bias is not None:

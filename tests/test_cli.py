@@ -74,6 +74,20 @@ class TestCount:
 
         assert totals("cnt") > totals("ld-rpmnet")
 
+    @pytest.mark.parametrize("key, value", [
+        ("stem_channels", "0"), ("stem_kernel", "0"), ("stem_stride", "0"),
+        ("pool_strides", "0,4"), ("ffn_expansion", "0"), ("heads", "0")])
+    def test_zero_sized_structure_is_runtime_error(self, tmp_path, capsys,
+                                                   key, value):
+        lines = [line for line in SMALL_CONFIG.splitlines()
+                 if not line.startswith(key + " ")]
+        bad = os.path.join(tmp_path, "bad.cfg")
+        with open(bad, "w") as f:
+            f.write("\n".join(lines + [f"{key} = {value}"]) + "\n")
+        assert cli_dispatch(["count", "--model", "cnt", "--config", bad]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and key in err and "Traceback" not in err
+
 
 class TestGenData:
     def test_writes_dataset_and_manifest(self, tmp_path, capsys):

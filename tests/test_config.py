@@ -3,6 +3,7 @@ import pytest
 from ldrpmnet.config import (ConfigFileError, model_config_from_text,
                              model_config_to_text, parse_config)
 from ldrpmnet.model import REDUCED_CONFIG, ModelConfig
+from ldrpmnet.train import TrainConfig
 
 
 class TestDefaults:
@@ -13,6 +14,7 @@ class TestDefaults:
         assert train.learning_rate == 0.001
         assert train.epochs == 50
         assert train.weight_decay == 0.01
+        assert train == TrainConfig()
 
     def test_comments_and_blanks_ignored(self):
         model, train = parse_config("# a comment\n\n   \nepochs = 3 # trailing\n")

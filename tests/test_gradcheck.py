@@ -30,10 +30,17 @@ def test_depthwise_conv_strided_unpadded():
     assert err <= 1e-5
 
 
-def test_pointwise_conv():
+@pytest.mark.parametrize("x_shape, w_shape, kwargs", [
+    ((2, 3, 7), (4, 3, 1), {}),
+    ((2, 1, 15), (4, 1, 7), dict(stride=2, padding=3)),
+    ((2, 3, 9), (4, 3, 5), {}),
+    ((2, 4, 11), (6, 2, 3), dict(stride=2, padding=1, groups=2)),
+    ((2, 3, 8), (6, 1, 3), dict(padding=1, groups=3)),
+], ids=["pointwise", "stem", "full", "grouped", "multiplier"])
+def test_gemm_conv(x_shape, w_shape, kwargs):
     err = gradcheck(
-        lambda x, w, b: T.conv1d(x, w, b),
-        [_rand((2, 3, 7), 15), _rand((4, 3, 1), 16), _rand((4,), 17)])
+        lambda x, w, b: T.conv1d(x, w, b, **kwargs),
+        [_rand(x_shape, 15), _rand(w_shape, 16), _rand(w_shape[:1], 17)])
     assert err <= 1e-5
 
 

@@ -184,6 +184,29 @@ class TestConv1d:
         npt.assert_allclose(out.data, naive_conv1d(x, w, None, 1, 1, 2),
                             atol=1e-12)
 
+    def test_input_without_grad_skips_its_gradient(self, monkeypatch):
+        rng = np.random.Generator(np.random.Philox(key=15))
+        x = rng.standard_normal((3, 1, 40))
+        w = rng.standard_normal((4, 1, 7))
+        gy = rng.standard_normal((3, 4, 20))
+
+        def grads(x_needs_grad):
+            xt = Tensor(x, requires_grad=x_needs_grad)
+            wt = Tensor(w, requires_grad=True)
+            y = T.conv1d(xt, wt, stride=2, padding=3)
+            T.backward(T.tsum(T.mul(y, Tensor(gy))))
+            return xt.grad, wt.grad
+
+        gx, gw = grads(True)
+
+        def fail(*args):
+            raise AssertionError("input gradient computed for a constant input")
+
+        monkeypatch.setattr(T, "_col2im", fail)
+        gx_none, gw_alone = grads(False)
+        assert gx is not None and gx_none is None
+        npt.assert_array_equal(gw_alone, gw)
+
     def test_bad_groups(self):
         with pytest.raises(T.ConfigurationError, match="groups"):
             T.conv1d(Tensor(np.zeros((3, 8))), Tensor(np.zeros((4, 1, 3))),
