@@ -14,6 +14,7 @@ import os
 import sys
 
 from . import __version__, config as config_mod, dataset
+from .complexity import count
 from .gradcheck import SUITE_NAMES, standard_suite
 from .model import (MODEL_PRESETS, ModelConfig, build_preset,
                     load_checkpoint, save_checkpoint)
@@ -139,8 +140,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    from .complexity import count
-
     model_cfg, _ = _load_configs(args.config)
     net = build_preset(args.model, base=model_cfg, seed=0)
     report = count(net)
@@ -253,9 +252,7 @@ def cli_dispatch(argv) -> int:
         return 1
     try:
         return args.fn(args)
-    except (CliError, config_mod.ConfigFileError,
-            dataset.DatasetLoadError, FileNotFoundError, ValueError,
-            RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -68,19 +68,13 @@ def linear_flops(m: int, n: int, positions: int = 1) -> int:
     return MAC_FLOPS * m * n * positions
 
 
-def count(net: Network, input_length: int | None = None) -> ComplexityReport:
+def count(net: Network) -> ComplexityReport:
     """Per-layer closed-form counts for a single sample through `net`."""
     cfg = net.config
-    if input_length is None:
-        input_length = cfg.input_length
-    if input_length != cfg.input_length:
-        raise ValueError(
-            f"input_length {input_length} != network configuration "
-            f"{cfg.input_length}")
     rows = []
 
     stem_c, stem_k, stem_s = cfg.stem
-    n = (input_length + 2 * ((stem_k - 1) // 2) - stem_k) // stem_s + 1
+    n = (cfg.input_length + 2 * ((stem_k - 1) // 2) - stem_k) // stem_s + 1
     rows.append(("stem.conv", stem_c * stem_k + stem_c,
                  conv1d_flops(n, stem_c, 1, stem_k)))
     rows.append(("stem.bn", 2 * stem_c, NORM_FLOPS_PER_ELEMENT * stem_c * n))

@@ -5,18 +5,23 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
+from .attention import BsaBlock, MhsaBlock
+from .mdsc import MdscBlock, MdscConfig
+from .model import ModelConfig, StandardMultiScaleBlock, build
 from .tensor import Tensor, no_grad
 
+H = 1e-5               # central-difference step
 
-def gradcheck(fn, tensors, h: float = 1e-5, seed: int = 0) -> float:
+
+def gradcheck(fn, tensors) -> float:
     """Max relative error between analytic and numeric gradients.
 
     ``fn(*tensors)`` must return a Tensor; a fixed random projection reduces
     it to a scalar so cancellation cannot hide errors.  Every entry of every
-    tensor with requires_grad is perturbed by +-h (central differences).
+    tensor with requires_grad is perturbed by +-H (central differences).
     Relative error uses denominator max(|analytic|, |numeric|, 1e-8).
     """
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.Philox(key=0))
     for t in tensors:
         t.zero_grad()
 
@@ -46,12 +51,12 @@ def gradcheck(fn, tensors, h: float = 1e-5, seed: int = 0) -> float:
         aflat = a.reshape(-1)
         for j in range(flat.size):
             orig = flat[j]
-            flat[j] = orig + h
+            flat[j] = orig + H
             fp = scalar()
-            flat[j] = orig - h
+            flat[j] = orig - H
             fm = scalar()
             flat[j] = orig
-            num = (fp - fm) / (2.0 * h)
+            num = (fp - fm) / (2.0 * H)
             if not np.isfinite(num):
                 raise FloatingPointError(
                     f"non-finite finite-difference value at parameter entry {j}")
@@ -80,14 +85,10 @@ def standard_suite(seed: int = 0, only: str | None = None) -> dict[str, float]:
 
     Returns {check name: max relative error}.  With `only`, every input is
     still drawn in the same order but only that check runs, so its value
-    equals the full suite's.  Block-level entries are added lazily to avoid
-    an import cycle at module load.
+    equals the full suite's.
     """
     if only is not None and only not in SUITE_NAMES:
         raise ValueError(f"unknown check {only!r}; choose from {SUITE_NAMES}")
-    from .mdsc import MdscBlock, MdscConfig
-    from .attention import BsaBlock, MhsaBlock
-    from .model import ModelConfig, StandardMultiScaleBlock, build
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     results: dict[str, float] = {}

@@ -30,21 +30,16 @@ class ParamInitializer:
         g = self._stream()
         return Tensor(g.uniform(-bound, bound, size=shape), requires_grad=True)
 
-    def zeros(self, shape) -> Tensor:
-        return Tensor(np.zeros(shape), requires_grad=True)
-
-    def ones(self, shape) -> Tensor:
-        return Tensor(np.ones(shape), requires_grad=True)
-
 
 class Module:
     """Base of every layer, block and network.
 
     Assigning a Tensor or a Module to an attribute records it under the
-    attribute's name; `add` records a list element (a branch, a stage) under
-    a name of its own.  Constructors create parameters in Philox draw order,
-    so that one order is also the order of `parameters()`, `buffers()` and
-    a checkpoint's arrays.  Child names are joined with dots.
+    attribute's name; `add` records anything else under a name of its own: a
+    list element (a branch, a stage) or a buffer, a plain array that the
+    module updates in place.  Constructors create parameters in Philox draw
+    order, so that one order is also the order of `parameters()`,
+    `buffers()` and a checkpoint's arrays.  Child names are joined with dots.
     """
 
     def __setattr__(self, name, value):
@@ -56,12 +51,7 @@ class Module:
         self.__dict__.setdefault("_members", {})[name] = value
         return value
 
-    def _own_buffers(self):
-        """(name, array) pairs of this module's buffers, read when asked."""
-        return []
-
     def _walk(self):
-        yield from self._own_buffers()
         for name, member in self.__dict__.get("_members", {}).items():
             if isinstance(member, Module):
                 yield from ((f"{name}.{n}", v) for n, v in member._walk())
@@ -114,31 +104,23 @@ class Linear(Module):
 
 
 class BatchNorm1d(Module):
-    def __init__(self, channels: int, *, momentum: float = 0.1, eps: float = 1e-5,
-                 init: ParamInitializer | None = None):
-        init = init or ParamInitializer(0)
-        self.momentum = momentum
-        self.eps = eps
-        self.gamma = init.ones((channels,))
-        self.beta = init.zeros((channels,))
+    eps = T.NORM_EPS       # for code that recomputes the normalization
+
+    def __init__(self, channels: int):
+        self.gamma = Tensor(np.ones(channels), requires_grad=True)
+        self.beta = Tensor(np.zeros(channels), requires_grad=True)
         self.state = BnState(channels)
+        self.add("running_mean", self.state.mean)
+        self.add("running_var", self.state.var)
 
     def forward(self, x: Tensor, mode: str) -> Tensor:
-        return T.batchnorm1d(x, self.gamma, self.beta, self.state, mode=mode,
-                             momentum=self.momentum, eps=self.eps)
-
-    def _own_buffers(self):
-        # train mode replaces the state's arrays, so they are looked up here
-        return [("running_mean", self.state.mean), ("running_var", self.state.var)]
+        return T.batchnorm1d(x, self.gamma, self.beta, self.state, mode=mode)
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, *, eps: float = 1e-5,
-                 init: ParamInitializer | None = None):
-        init = init or ParamInitializer(0)
-        self.eps = eps
-        self.gamma = init.ones((dim,))
-        self.beta = init.zeros((dim,))
+    def __init__(self, dim: int):
+        self.gamma = Tensor(np.ones(dim), requires_grad=True)
+        self.beta = Tensor(np.zeros(dim), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gamma, self.beta, eps=self.eps)
+        return T.layer_norm(x, self.gamma, self.beta)

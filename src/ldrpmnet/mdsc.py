@@ -74,7 +74,7 @@ class MdscBlock(Module):
         ]
         self.pointwise = Conv1d(len(config.kernel_sizes) * c1, c2, 1,
                                 bias=True, init=init)
-        self.bn = BatchNorm1d(c2, init=init)
+        self.bn = BatchNorm1d(c2)
 
     def forward(self, x: Tensor, mode: str = "train") -> Tensor:
         if x.shape[-2] != self.config.in_channels:

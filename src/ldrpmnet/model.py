@@ -20,7 +20,7 @@ stage0.depthwise_k3.weight or encoder1.attn.w_k.bias.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -131,10 +131,10 @@ class EncoderBlock(Module):
             self.attn = MhsaBlock(model_dim, heads=heads, init=init)
         else:
             self.attn = BsaBlock(model_dim, init=init)
-        self.norm1 = LayerNorm(model_dim, init=init)
+        self.norm1 = LayerNorm(model_dim)
         self.ffn1 = Linear(model_dim, ffn_expansion * model_dim, init=init)
         self.ffn2 = Linear(ffn_expansion * model_dim, model_dim, init=init)
-        self.norm2 = LayerNorm(model_dim, init=init)
+        self.norm2 = LayerNorm(model_dim)
 
     def forward(self, x: Tensor) -> Tensor:
         y = self.norm1.forward(T.add(x, self.attn.forward(x)))
@@ -152,7 +152,7 @@ class Network(Module):
         stem_c, stem_k, stem_s = config.stem
         self.stem = Conv1d(1, stem_c, stem_k, stride=stem_s,
                            padding=(stem_k - 1) // 2, bias=True, init=init)
-        self.stem_bn = BatchNorm1d(stem_c, init=init)
+        self.stem_bn = BatchNorm1d(stem_c)
 
         block_cls = MdscBlock if config.conv_kind == "mdsc" else StandardMultiScaleBlock
         self.stages = []
@@ -251,11 +251,8 @@ def build_preset(name: str, base: ModelConfig | None = None,
         raise ConfigurationError(
             f"unknown model {name!r}; choose from {sorted(MODEL_PRESETS)}")
     conv_kind, attn_kind = MODEL_PRESETS[name]
-    base = base or ModelConfig()
-    cfg = ModelConfig(conv_kind=conv_kind, attn_kind=attn_kind,
-                      input_length=base.input_length, stem=base.stem,
-                      stages=base.stages, encoder=base.encoder,
-                      num_classes=base.num_classes)
+    cfg = replace(base or ModelConfig(), conv_kind=conv_kind,
+                  attn_kind=attn_kind)
     return build(cfg, seed)
 
 

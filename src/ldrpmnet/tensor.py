@@ -80,6 +80,10 @@ class TapeError(RuntimeError):
     """Misuse of the autodiff tape (non-scalar loss, repeated backward, ...)."""
 
 
+NORM_EPS = 1e-5        # variance floor of batchnorm1d and layer_norm
+BN_MOMENTUM = 0.1      # weight of a batch in batchnorm1d's running statistics
+
+
 # --------------------------------------------------------------------------
 # autodiff graph
 # --------------------------------------------------------------------------
@@ -414,7 +418,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _record(y, (a,), bwd)
 
 
-def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the last axis, then affine by gamma/beta."""
     a, gamma, beta = _as_tensor(a), _as_tensor(gamma), _as_tensor(beta)
     if gamma.shape != a.shape[-1:] or beta.shape != a.shape[-1:]:
@@ -423,7 +427,7 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             f"last axis of input {a.shape}")
     mu = a.data.mean(axis=-1, keepdims=True)
     var = a.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = (a.data - mu) * inv
 
     def bwd(g):
@@ -683,20 +687,14 @@ class BnState:
         self.mean = np.zeros(channels)
         self.var = np.ones(channels)
 
-    def copy(self) -> "BnState":
-        st = BnState(len(self.mean))
-        st.mean = self.mean.copy()
-        st.var = self.var.copy()
-        return st
-
 
 def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor, state: BnState,
-                mode: str = "train", momentum: float = 0.1,
-                eps: float = 1e-5) -> Tensor:
+                mode: str = "train") -> Tensor:
     """BatchNorm over (batch, time) per channel on [B, C, N] input.
 
-    Train mode normalizes by batch statistics and updates `state` in place;
-    eval mode normalizes by the stored running statistics.
+    Train mode normalizes by batch statistics and blends them into `state`'s
+    arrays in place (weight BN_MOMENTUM), so they stay the objects a module
+    recorded as buffers; eval mode normalizes by the stored statistics.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if x.ndim != 3:
@@ -705,14 +703,12 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor, state: BnState,
     if gamma.shape != (c,) or beta.shape != (c,):
         raise DimensionError(
             f"batchnorm affine shapes {gamma.shape}/{beta.shape} != ({c},)")
-    if eps <= 0:
-        raise ConfigurationError(f"eps must be positive, got {eps}")
     if mode not in ("train", "eval"):
         raise ConfigurationError(f"mode must be train or eval, got {mode!r}")
 
     if mode == "eval":
-        mu = state.mean
-        inv = 1.0 / np.sqrt(state.var + eps)
+        mu = state.mean.copy()     # a later train forward updates it in place
+        inv = 1.0 / np.sqrt(state.var + NORM_EPS)
         # one per-channel affine map: two passes over x instead of four
         scale = gamma.data * inv
         y = x.data * scale[:, None]
@@ -731,9 +727,11 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor, state: BnState,
     mu = x.data.mean(axis=(0, 2))
     xhat = x.data - mu[:, None]            # centred here, scaled below
     var = np.einsum("bcn,bcn->c", xhat, xhat) / m
-    state.mean = (1.0 - momentum) * state.mean + momentum * mu
-    state.var = (1.0 - momentum) * state.var + momentum * var * m / max(m - 1, 1)
-    inv = 1.0 / np.sqrt(var + eps)
+    state.mean *= 1.0 - BN_MOMENTUM
+    state.mean += BN_MOMENTUM * mu
+    state.var *= 1.0 - BN_MOMENTUM
+    state.var += BN_MOMENTUM * var * m / max(m - 1, 1)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat *= inv[:, None]
     y = xhat * gamma.data[:, None]
     y += beta.data[:, None]

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .complexity import count
 from .dataset import SampleSet
-from .model import ModelConfig, Network, build_preset
+from .model import MODEL_PRESETS, ModelConfig, Network, build_preset
 from .tensor import Tensor, no_grad
 
 
@@ -189,16 +190,16 @@ def trace_csv(trace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def evaluate(net: Network, sample_set: SampleSet, part: str = "test") -> MetricsReport:
-    """Eval-mode metrics on one split; never mutates parameters or BN stats."""
-    idx = sample_set.indices(part)
+def evaluate(net: Network, sample_set: SampleSet) -> MetricsReport:
+    """Eval-mode metrics on the test split; mutates no parameter or buffer."""
+    idx = sample_set.indices("test")
     if len(idx) == 0:
-        raise ValueError(f"split {part!r} is empty")
+        raise ValueError("split 'test' is empty")
     labels = sample_set.labels[idx]
     classes = net.config.num_classes
     if labels.min() < 1 or labels.max() > classes:
         raise ValueError(
-            f"split {part!r} has labels {labels.min()}..{labels.max()}, but the "
+            f"split 'test' has labels {labels.min()}..{labels.max()}, but the "
             f"network has classes 1..{classes}")
     preds = _predict(net, sample_set.waveforms[idx])
     confusion = np.zeros((net.config.num_classes, net.config.num_classes),
@@ -230,8 +231,6 @@ def ablate(sample_set: SampleSet, seed: int, base: ModelConfig | None = None,
 
     Returns [(method name, MetricsReport, ComplexityReport), ...].
     """
-    from .complexity import count
-
     train_config = train_config or TrainConfig(seed=seed)
     results = []
     for method in ABLATION_METHODS:
@@ -243,8 +242,6 @@ def ablate(sample_set: SampleSet, seed: int, base: ModelConfig | None = None,
 
 
 def ablation_csv(results) -> str:
-    from .model import MODEL_PRESETS
-
     lines = ["method,conv,attn,accuracy,params,flops,inference_s"]
     for method, metrics, report in results:
         conv, attn = MODEL_PRESETS[method]

@@ -194,6 +194,21 @@ class TestTrainEval:
         assert "batch_sise" in capsys.readouterr().err
 
 
+class TestOsErrors:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--weights", "{dir}", "--data", "{dir}"],
+        ["gen-data", "--out", "{file}"],
+        ["count", "--model", "cnt", "--config", "{dir}"]],
+        ids=["eval-directory", "gen-data-into-file", "count-directory"])
+    def test_os_error_is_runtime_error(self, tmp_path, capsys, argv):
+        file = tmp_path / "file.txt"
+        file.write_text("not a directory\n")
+        args = [a.format(dir=tmp_path, file=file) for a in argv]
+        assert cli_dispatch(args) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+
 class TestGradcheck:
     def test_single_op(self, capsys):
         full = standard_suite(seed=0)["gelu"]

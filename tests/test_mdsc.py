@@ -59,7 +59,7 @@ class TestNames:
         assert block.parameters()[0][1] is block.depthwise[0].weight
 
     def test_buffers_follow_the_running_statistics(self):
-        # a train-mode forward replaces the BatchNorm state's arrays
+        # a train-mode forward updates the BatchNorm state's arrays in place
         block = MdscBlock(MdscConfig(2, 3, (3,)), seed=0)
         block.forward(Tensor(np.ones((2, 2, 8))), mode="train")
         (n_mean, mean), (n_var, var) = block.buffers()

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from ldrpmnet import tensor as T
+from ldrpmnet.layers import BatchNorm1d
 from ldrpmnet.tensor import BnState, Tensor
 
 
@@ -279,6 +280,38 @@ class TestBatchNorm:
                             state, mode="eval")
         npt.assert_allclose(out.data, (4.0 - 2.0) / np.sqrt(4.0 + 1e-5),
                             atol=1e-12)
+
+    def test_train_updates_the_buffers_in_place(self):
+        rng = np.random.Generator(np.random.Philox(key=16))
+        x = rng.normal(1.0, 2.0, size=(3, 2, 5))
+        bn = BatchNorm1d(2)
+        (_, mean), (_, var) = bn.buffers()
+        bn.forward(Tensor(x), mode="train")
+        assert bn.state.mean is mean and bn.state.var is var
+        # momentum 0.1 from mean 0 / var 1, unbiased batch variance
+        npt.assert_allclose(mean, 0.1 * x.mean(axis=(0, 2)), rtol=1e-12)
+        npt.assert_allclose(var, 0.9 + 0.1 * x.var(axis=(0, 2), ddof=1),
+                            rtol=1e-12)
+
+    def test_eval_gradient_ignores_a_later_train_forward(self):
+        rng = np.random.Generator(np.random.Philox(key=17))
+        x, g = rng.normal(size=(2, 3, 6)), rng.normal(size=(2, 3, 6))
+        gamma = rng.normal(size=3)
+
+        def eval_grads(train_between):
+            state = BnState(3)
+            state.mean[:] = [0.5, -1.0, 2.0]
+            xt, gt, bt = (Tensor(a, requires_grad=True)
+                          for a in (x, gamma, np.zeros(3)))
+            out = T.batchnorm1d(xt, gt, bt, state, mode="eval")
+            if train_between:
+                T.batchnorm1d(Tensor(x + 5.0), Tensor(np.ones(3)),
+                              Tensor(np.zeros(3)), state, mode="train")
+            T.backward(T.tsum(T.mul(out, Tensor(g))))
+            return xt.grad, gt.grad, bt.grad
+
+        for plain, interleaved in zip(eval_grads(False), eval_grads(True)):
+            npt.assert_array_equal(plain, interleaved)
 
 
 class TestGelu:
