@@ -64,6 +64,10 @@ def _load_configs(path: str | None) -> tuple[ModelConfig, TrainConfig]:
 
 
 def _load_dataset(path: str, model_cfg: ModelConfig) -> dataset.SampleSet:
+    if model_cfg.num_classes != len(dataset.CLASS_IDS):
+        raise CliError(
+            f"num_classes = {model_cfg.num_classes}, but the dataset has "
+            f"{len(dataset.CLASS_IDS)} classes")
     samples = dataset.load(path)
     if samples.input_length != model_cfg.input_length:
         raise CliError(
@@ -259,3 +263,7 @@ def cli_dispatch(argv) -> int:
 
 def main() -> None:
     raise SystemExit(cli_dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -268,6 +268,8 @@ def load(path) -> SampleSet:
             if len(row) != 4:
                 raise ManifestError(f"bad manifest row {row}")
             rows.append(row)
+    if not rows:
+        raise ManifestError(f"{manifest} lists no samples")
     waveforms, labels, splits = [], [], []
     for _, cls, part, name in rows:
         cls = int(cls)

@@ -12,6 +12,7 @@ the primitives in this module.  Design points:
   node counter, a weak set of the tensors holding a node, and the process's
   malloc thresholds, which importing the module fixes on glibc (see
   `_keep_freed_heap`).
+* The layer ops add their own bias: one graph node per conv or linear layer.
 * conv1d has two paths.  When groups == C_in == C_out (every MDSC branch),
   each batch block is copied into zero-padded contiguous rows and the k
   taps are shifted multiply-adds over the flattened rows, forward and
@@ -33,7 +34,7 @@ from scipy.special import ndtr as _ndtr
 __all__ = [
     "Tensor", "DimensionError", "ConfigurationError", "TapeError",
     "no_grad", "backward", "tape_len", "tape_node_sizes",
-    "add", "sub", "mul", "matmul", "reshape", "transpose", "concat",
+    "add", "mul", "matmul", "reshape", "transpose", "concat",
     "tsum", "mean", "max_pool1d", "softmax", "gelu", "layer_norm",
     "linear", "conv1d", "batchnorm1d", "cross_entropy", "BnState",
 ]
@@ -215,39 +216,14 @@ class Tensor:
     def __radd__(self, other):
         return add(_as_tensor(other), self)
 
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
 
     def __rmul__(self, other):
         return mul(_as_tensor(other), self)
 
-    def __neg__(self):
-        return mul(self, _as_tensor(-1.0))
-
     def __matmul__(self, other):
         return matmul(self, _as_tensor(other))
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes)
 
     def backward(self):
         backward(self)
@@ -279,15 +255,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
     return _record(a.data + b.data, (a, b), bwd)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-
-    def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return _record(a.data - b.data, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -365,7 +332,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
     def bwd(g):
         g2 = g if keepdims or axis is None else np.expand_dims(g, axis)
-        return (np.broadcast_to(g2, a.shape).copy(),)
+        return (np.broadcast_to(g2, a.shape),)
 
     return _record(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
 
@@ -377,7 +344,7 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
     def bwd(g):
         g2 = g if keepdims or axis is None else np.expand_dims(g, axis)
-        return (np.broadcast_to(g2 / n, a.shape).copy(),)
+        return (np.broadcast_to(g2 / n, a.shape),)
 
     return _record(y, (a,), bwd)
 
@@ -444,19 +411,24 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """x[..., in] @ weight[out, in]^T (+ bias[out])."""
+    """x[..., in] @ weight[out, in]^T (+ bias[out], added in place): one node."""
     x, weight = _as_tensor(x), _as_tensor(weight)
     if x.shape[-1] != weight.shape[-1]:
         raise DimensionError(
             f"linear input feature axis {x.shape[-1]} != weight in-axis {weight.shape[-1]}")
-    if x.ndim >= 2:
-        y = matmul(x, transpose(weight, (1, 0)))
-    else:
-        y = matmul(reshape(x, (1, -1)), transpose(weight, (1, 0)))
-        y = reshape(y, (weight.shape[0],))
+    y = np.matmul(x.data, weight.data.T)
+    parents = (x, weight)
     if bias is not None:
-        y = add(y, bias)
-    return y
+        bias = _as_tensor(bias)
+        y += bias.data
+        parents += (bias,)
+
+    def bwd(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        gw = g2.T @ x.data.reshape(-1, x.shape[-1])
+        return g @ weight.data, gw, None if bias is None else g2.sum(axis=0)
+
+    return _record(y, parents, bwd)
 
 
 # --------------------------------------------------------------------------
@@ -623,7 +595,8 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     backward shifts the output gradient back the same way.  Any other
     grouping (C_out a multiple of C_in included) multiplies the grouped
     weight with the `_im2col` columns; its backward scatters the column
-    gradient back with `_col2im`, unless the input needs no gradient.
+    gradient back with `_col2im`, unless the input needs no gradient.  The
+    bias is added in place into the output, so a layer is one graph node.
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
     squeeze = x.ndim == 2
@@ -653,7 +626,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     if groups == cin == cout:
         y = _depthwise_raw(x3.data, weight.data, stride, padding)
 
-        def bwd(g):
+        def grads(g):
             return _depthwise_grads(x3.data, weight.data, g, stride, padding)
     else:
         og = cout // groups
@@ -661,7 +634,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
         w2 = weight.data.reshape(groups, og, cg * k)
         y = (w2 @ cols).reshape(b, cout, cols.shape[-1])
 
-        def bwd(g):
+        def grads(g):
             gg = g.reshape(b, groups, og, g.shape[-1])
             gw = (gg @ np.swapaxes(cols, -1, -2)).sum(axis=0)
             gx = None
@@ -670,9 +643,16 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
                              stride, padding)
             return gx, gw.reshape(weight.shape)
 
-    y = _record(y, (x3, weight), bwd)
+    parents = (x3, weight)
     if bias is not None:
-        y = add(y, reshape(_as_tensor(bias), (cout, 1)))
+        bias = _as_tensor(bias)
+        y += bias.data[:, None]
+        parents += (bias,)
+
+    def bwd(g):
+        return grads(g) + (None if bias is None else g.sum(axis=(0, 2)),)
+
+    y = _record(y, parents, bwd)
     return reshape(y, y.shape[1:]) if squeeze else y
 
 

@@ -59,7 +59,7 @@ def test_tape_metrics_read_the_live_graph():
     net = model.build_preset("ld-rpmnet", base=REDUCED_CONFIG, seed=0)
     x = Tensor(np.ones((16, 1, REDUCED_CONFIG.input_length)))
     loss = T.cross_entropy(net.forward(x, mode="train"), np.arange(16) % 10 + 1)
-    assert tracing._tape_attrs(loss) == (94, 4_072_729 * 8)
+    assert tracing._tape_attrs(loss) == (64, 3_402_465 * 8)
     del loss
     with no_grad():
         net.forward(x, mode="eval")

@@ -1,8 +1,13 @@
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import ldrpmnet
+from ldrpmnet import cli
 from ldrpmnet import gradcheck as gradcheck_module
 from ldrpmnet.cli import cli_dispatch
 from ldrpmnet.gradcheck import standard_suite
@@ -51,6 +56,18 @@ class TestUsage:
     def test_bad_model_choice(self, capsys, tmp_path):
         code = cli_dispatch(["count", "--model", "resnet"])
         assert code == 1
+
+    @pytest.mark.parametrize("argv, code, stream, text", [
+        (["-m", "ldrpmnet", "count", "--model", "cnt"], 0, "stdout", "cnt: Params"),
+        (["-m", "ldrpmnet.cli"], 1, "stderr", "usage")],
+        ids=["package", "cli-module"])
+    def test_python_m_runs_the_cli(self, argv, code, stream, text):
+        env = dict(os.environ, PYTHONPATH=str(
+            pathlib.Path(ldrpmnet.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable] + argv, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert text in getattr(proc, stream)
 
 
 class TestCount:
@@ -182,6 +199,36 @@ class TestTrainEval:
         assert cli_dispatch(["train", "--data", data, "--model", "ld-rpmnet",
                              "--out", run]) == 2
         assert "input_length" in capsys.readouterr().err
+
+    def test_header_only_manifest_is_runtime_error(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "manifest.csv").write_text("id,class,split,file\n")
+        cfg = _write_config(tmp_path)
+        assert cli_dispatch(["train", "--data", str(data), "--model", "ld-rpmnet",
+                             "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "no samples" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_class_count_other_than_the_corpus_is_runtime_error(
+            self, tmp_path, capsys, monkeypatch, command):
+        def fail(*args, **kwargs):
+            raise AssertionError("a network was built for the wrong class count")
+
+        monkeypatch.setattr(cli, "build_preset", fail)
+        monkeypatch.setattr(cli, "ablate", fail)
+        data = _gen(tmp_path)
+        bad = os.path.join(tmp_path, "bad.cfg")
+        with open(bad, "w") as f:
+            f.write(SMALL_CONFIG + "num_classes = 12\n")
+        argv = [command, "--data", data, "--config", bad,
+                "--out", os.path.join(tmp_path, "run")]
+        if command == "train":
+            argv += ["--model", "ld-rpmnet"]
+        assert cli_dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "num_classes = 12" in err and "10 classes" in err
 
     def test_config_typo_is_runtime_error(self, tmp_path, capsys):
         data = _gen(tmp_path)

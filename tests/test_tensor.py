@@ -222,6 +222,72 @@ class TestConv1d:
             T.conv1d(Tensor(np.zeros((4, 8))), Tensor(np.zeros((2, 3, 3))))
 
 
+def composed_linear(x, w, b=None):
+    """linear as the ops it recorded before taking its bias into one node."""
+    if x.ndim >= 2:
+        y = T.matmul(x, T.transpose(w, (1, 0)))
+    else:
+        y = T.reshape(T.matmul(T.reshape(x, (1, -1)), T.transpose(w, (1, 0))),
+                      (w.shape[0],))
+    return y if b is None else T.add(y, b)
+
+
+def composed_conv1d(x, w, b, **kw):
+    """A biased conv1d as the conv, reshape(bias) and add it recorded before."""
+    return T.add(T.conv1d(x, w, **kw), T.reshape(b, (w.shape[0], 1)))
+
+
+def forward_and_grads(op, arrays):
+    """Output of op on fresh leaves and the leaves' gradients of a random
+    projection of it."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    y = op(*leaves)
+    proj = np.random.Generator(np.random.Philox(key=18)).standard_normal(y.shape)
+    T.backward(T.tsum(T.mul(y, Tensor(proj))))
+    return y.data, [t.grad for t in leaves]
+
+
+def assert_matches_composition(op, composed, arrays):
+    y, grads = forward_and_grads(op, arrays)
+    y_ref, grads_ref = forward_and_grads(composed, arrays)
+    npt.assert_array_equal(y, y_ref)
+    for g, g_ref in zip(grads, grads_ref, strict=True):
+        npt.assert_allclose(g, g_ref, rtol=0, atol=1e-12)
+
+
+class TestBiasInsideTheOp:
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 3)], ids=["rank1", "rank2", "rank3"])
+    def test_linear_matches_the_composition(self, lead, bias):
+        rng = np.random.Generator(np.random.Philox(key=17))
+        arrays = [rng.standard_normal(lead + (6,)), rng.standard_normal((4, 6))]
+        if bias:
+            arrays.append(rng.standard_normal(4))
+        assert_matches_composition(T.linear, composed_linear, arrays)
+
+    @pytest.mark.parametrize("cout, groups", [(3, 3), (4, 1)], ids=["depthwise", "gemm"])
+    def test_biased_conv1d_matches_the_composition(self, cout, groups):
+        rng = np.random.Generator(np.random.Philox(key=19))
+        arrays = [rng.standard_normal((2, 3, 21)),
+                  rng.standard_normal((cout, 3 // groups, 5)),
+                  rng.standard_normal(cout)]
+        kw = dict(stride=2, padding=2, groups=groups)
+        assert_matches_composition(lambda x, w, b: T.conv1d(x, w, b, **kw),
+                                   lambda x, w, b: composed_conv1d(x, w, b, **kw),
+                                   arrays)
+
+    @pytest.mark.parametrize("op, w_shape", [
+        (lambda x, w, b: T.conv1d(x, w, b, padding=1), (4, 3, 3)),
+        (lambda x, w, b: T.linear(x, w, b), (4, 8))], ids=["conv1d", "linear"])
+    def test_a_biased_layer_is_one_node(self, op, w_shape):
+        x = Tensor(np.ones((2, 3, 8)), requires_grad=True)
+        y = op(x, Tensor(np.ones(w_shape), requires_grad=True),
+               Tensor(np.ones(4), requires_grad=True))
+        assert T.tape_len() == 1
+        del y
+        assert T.tape_len() == 0
+
+
 class TestBatchNorm:
     def test_constant_input_zeroed(self):
         x = Tensor(np.full((2, 3, 4), 7.0))
