@@ -35,10 +35,18 @@ class CliError(RuntimeError):
     pass
 
 
-def _prepare_out_dir(path: str, force: bool) -> None:
+def _check_out_dir(path: str, force: bool) -> None:
+    """Fail before any work on a non-empty --out; the directory itself is
+    made only right before the first file is written."""
     if os.path.exists(path) and os.listdir(path) and not force:
         raise CliError(f"output directory {path!r} is not empty (use --force)")
-    os.makedirs(path, exist_ok=True)
+
+
+def _write_texts(out_dir: str, texts: dict) -> None:
+    os.makedirs(out_dir, exist_ok=True)
+    for name, text in texts.items():
+        with open(os.path.join(out_dir, name), "w") as f:
+            f.write(text)
 
 
 def _write_manifest(out_dir: str, command: str, resolved: dict, seed: int,
@@ -57,10 +65,24 @@ def _write_manifest(out_dir: str, command: str, resolved: dict, seed: int,
         f.write("\n")
 
 
-def _load_configs(path: str | None) -> tuple[ModelConfig, TrainConfig]:
-    if path is None:
-        return ModelConfig(), TrainConfig()
-    return config_mod.load_config(path)
+def _load_configs(path: str | None, seed: int | None = None,
+                  model: str | None = None) -> tuple[ModelConfig, TrainConfig]:
+    """The config file's settings; a given --seed overrides its seed.
+
+    With --model, the file may set (conv_kind, attn_kind) only to the
+    default pair or to that preset's pair, because the preset decides them.
+    """
+    model_cfg, train_cfg = ((ModelConfig(), TrainConfig()) if path is None
+                            else config_mod.load_config(path))
+    if seed is not None:
+        train_cfg.seed = seed
+    kinds = (model_cfg.conv_kind, model_cfg.attn_kind)
+    if model is not None and kinds not in (
+            MODEL_PRESETS[model], (ModelConfig.conv_kind, ModelConfig.attn_kind)):
+        raise CliError(
+            f"config sets (conv_kind, attn_kind) = {kinds}, but --model "
+            f"{model} is {MODEL_PRESETS[model]}")
+    return model_cfg, train_cfg
 
 
 def _load_dataset(path: str, model_cfg: ModelConfig) -> dataset.SampleSet:
@@ -86,7 +108,7 @@ def _now() -> str:
 
 def _cmd_gen_data(args) -> int:
     started = _now()
-    _prepare_out_dir(args.out, args.force)
+    _check_out_dir(args.out, args.force)
     print(f"generating {dataset.TOTAL_SAMPLES} samples "
           f"(seed {args.seed}, length {args.input_length})", file=sys.stderr)
     samples = dataset.generate(args.seed, args.input_length)
@@ -103,10 +125,8 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     started = _now()
-    model_cfg, train_cfg = _load_configs(args.config)
-    if args.seed is not None:
-        train_cfg.seed = args.seed
-    _prepare_out_dir(args.out, args.force)
+    model_cfg, train_cfg = _load_configs(args.config, args.seed, args.model)
+    _check_out_dir(args.out, args.force)
     samples = _load_dataset(args.data, model_cfg)
     net = build_preset(args.model, base=model_cfg, seed=train_cfg.seed)
     print(f"training {args.model} ({net.param_count()} params, "
@@ -118,9 +138,7 @@ def _cmd_train(args) -> int:
         "metrics.csv": metrics.to_csv(),
         "confusion.csv": metrics.confusion_csv(),
     }
-    for name, text in paths.items():
-        with open(os.path.join(args.out, name), "w") as f:
-            f.write(text)
+    _write_texts(args.out, paths)
     save_checkpoint(net, os.path.join(args.out, "weights.bin"))
     _write_manifest(args.out, "train",
                     {"model": args.model,
@@ -144,7 +162,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    model_cfg, _ = _load_configs(args.config)
+    model_cfg, _ = _load_configs(args.config, model=args.model)
     net = build_preset(args.model, base=model_cfg, seed=0)
     report = count(net)
     print(report.to_text())
@@ -168,20 +186,18 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_ablate(args) -> int:
     started = _now()
-    model_cfg, train_cfg = _load_configs(args.config)
-    train_cfg.seed = args.seed
-    _prepare_out_dir(args.out, args.force)
+    model_cfg, train_cfg = _load_configs(args.config, args.seed)
+    _check_out_dir(args.out, args.force)
     samples = _load_dataset(args.data, model_cfg)
     print("running four-way ablation (this trains four networks)",
           file=sys.stderr)
-    results = ablate(samples, args.seed, base=model_cfg, train_config=train_cfg)
+    results = ablate(samples, train_cfg, base=model_cfg)
     text = ablation_csv(results)
-    with open(os.path.join(args.out, "ablation.csv"), "w") as f:
-        f.write(text)
+    _write_texts(args.out, {"ablation.csv": text})
     _write_manifest(args.out, "ablate",
                     {"model_config": config_mod.model_config_to_text(model_cfg),
                      "train_config": vars(train_cfg)},
-                    args.seed, started, ["ablation.csv"])
+                    train_cfg.seed, started, ["ablation.csv"])
     print(text, end="")
     return 0
 
@@ -232,7 +248,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("ablate", help="train and compare all four variants")
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int,
+                   help="override the config seed, which draws the init and "
+                        "shuffles of all four variants")
     p.add_argument("--config", help="flat key = value configuration file")
     p.add_argument("--out", required=True, help="run output directory")
     p.add_argument("--force", action="store_true",

@@ -5,9 +5,9 @@ Each class has a recipe: an attack/steady/release envelope, a set of tone
 components, a noise level, and an amplitude range.  Classes 5-7 share one
 recipe and differ only by a strictly increasing amplitude scale; classes 2
 and 3 share tone structure and differ only in envelope jitter — the two
-deliberately hard axes of the task.  A per-sample counter-based random
-stream (Philox keyed by (seed, sample index)) makes generation of sample i
-independent of generation order.
+deliberately hard axes of the task.  A per-sample random stream,
+`rng.stream(seed, sample index)`, makes generation of sample i independent
+of generation order.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .rng import stream
 
 SAMPLE_RATE = 10_000
 WAVEFORM_MAGIC = b"LDWF1"
@@ -115,11 +117,6 @@ class SampleSet:
         return np.flatnonzero(self.split == part)
 
 
-def _sample_stream(seed: int, index: int) -> np.random.Generator:
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _envelope(recipe: ClassRecipe, n: int, rng: np.random.Generator,
               t: np.ndarray) -> np.ndarray:
     jit = 1.0 + rng.uniform(-0.1, 0.1)
@@ -174,7 +171,7 @@ def generate(seed: int, input_length: int = 8192) -> SampleSet:
     for class_id, count in zip(CLASS_IDS, CLASS_COUNTS):
         recipe = RECIPES[class_id]
         for _ in range(count):
-            rng = _sample_stream(seed, i)
+            rng = stream(seed, i)
             waveforms[i] = _render(recipe, input_length, rng)
             labels[i] = class_id
             i += 1
@@ -209,9 +206,7 @@ def split(sample_set: SampleSet, seed: int) -> SampleSet:
     assignment = np.full(total, "train", dtype="U5")
     for ci, class_id in enumerate(CLASS_IDS):
         idx = np.flatnonzero(sample_set.labels == class_id)
-        rng = np.random.Generator(np.random.Philox(
-            key=np.array([seed, 10_000 + class_id], dtype=np.uint64)))
-        idx = rng.permutation(idx)
+        idx = stream(seed, 10_000 + class_id).permutation(idx)
         assignment[idx[: test_c[ci]]] = "test"
         assignment[idx[test_c[ci]: test_c[ci] + val_c[ci]]] = "val"
     out = SampleSet(sample_set.waveforms, sample_set.labels, assignment)

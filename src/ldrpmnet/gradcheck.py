@@ -8,6 +8,7 @@ from . import tensor as T
 from .attention import BsaBlock, MhsaBlock
 from .mdsc import MdscBlock, MdscConfig
 from .model import ModelConfig, StandardMultiScaleBlock, build
+from .rng import stream
 from .tensor import Tensor, no_grad
 
 H = 1e-5               # central-difference step
@@ -21,7 +22,7 @@ def gradcheck(fn, tensors) -> float:
     tensor with requires_grad is perturbed by +-H (central differences).
     Relative error uses denominator max(|analytic|, |numeric|, 1e-8).
     """
-    rng = np.random.Generator(np.random.Philox(key=0))
+    rng = stream(0, 0)
     for t in tensors:
         t.zero_grad()
 
@@ -90,7 +91,7 @@ def standard_suite(seed: int = 0, only: str | None = None) -> dict[str, float]:
     if only is not None and only not in SUITE_NAMES:
         raise ValueError(f"unknown check {only!r}; choose from {SUITE_NAMES}")
 
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = stream(seed, 0)
     results: dict[str, float] = {}
 
     def check(name, fn, tensors):
@@ -113,7 +114,7 @@ def standard_suite(seed: int = 0, only: str | None = None) -> dict[str, float]:
     check("conv1d", lambda x, w, b: T.conv1d(x, w, b, stride=2, padding=2),
           [_rand(rng, (2, 3, 12)), _rand(rng, (4, 3, 5)), _rand(rng, (4,))])
     check("conv1d_depthwise",
-          lambda x, w: T.conv1d(x, w, stride=1, padding=2, groups=3),
+          lambda x, w: T.conv1d(x, w, padding=2, groups=3),
           [_rand(rng, (2, 3, 10)), _rand(rng, (3, 1, 5))])
 
     def bn_train(x, g, b):
@@ -128,12 +129,12 @@ def standard_suite(seed: int = 0, only: str | None = None) -> dict[str, float]:
     check("cross_entropy", ce, [_rand(rng, (3, 4))])
 
     mdsc = MdscBlock(MdscConfig(in_channels=3, out_channels=4,
-                                kernel_sizes=(3, 5, 7), stride=1), seed=seed)
+                                kernel_sizes=(3, 5, 7)), seed=seed)
     check("mdsc_block", lambda x, *ps: mdsc.forward(x, mode="train"),
           [_rand(rng, (2, 3, 16))] + [p for _, p in mdsc.parameters()])
 
     std = StandardMultiScaleBlock(MdscConfig(in_channels=3, out_channels=4,
-                                             kernel_sizes=(3, 5), stride=1), seed=seed)
+                                             kernel_sizes=(3, 5)), seed=seed)
     check("standard_block", lambda x, *ps: std.forward(x, mode="train"),
           [_rand(rng, (2, 3, 12))] + [p for _, p in std.parameters()])
 

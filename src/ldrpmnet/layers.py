@@ -1,9 +1,10 @@
 """Parameter-holding layers built on the autodiff primitives, and the
 Module base that names and collects the parameters of every block.
 
-Initialization is fan-in uniform (bound = sqrt(1/fan_in)) drawn from a
-counter-based Philox stream, so a given seed always produces bit-identical
-parameters regardless of construction order elsewhere.
+Initialization is fan-in uniform (bound = sqrt(1/fan_in)), each parameter
+drawn from its own `rng.stream(seed, counter)`, so a given seed always
+produces bit-identical parameters regardless of construction order
+elsewhere.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
+from .rng import stream
 from .tensor import BnState, Tensor
 
 
@@ -18,16 +20,12 @@ class ParamInitializer:
     """Deterministic parameter source: (seed, counter) -> Philox stream."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
+        self.seed = seed
         self.counter = 0
 
-    def _stream(self):
-        key = np.array([self.seed, self.counter], dtype=np.uint64)
-        self.counter += 1
-        return np.random.Generator(np.random.Philox(key=key))
-
     def uniform(self, shape, bound: float) -> Tensor:
-        g = self._stream()
+        g = stream(self.seed, self.counter)
+        self.counter += 1
         return Tensor(g.uniform(-bound, bound, size=shape), requires_grad=True)
 
 

@@ -3,7 +3,7 @@
 Parallel depthwise convolutions at several odd kernel sizes, channel
 concatenation, 1x1 pointwise fusion, BatchNorm, GELU.  "Same" padding keeps
 all branch outputs at the same time extent so the concatenation is
-well-formed; stride (if any) is applied in the depthwise stage only.
+well-formed.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ class MdscConfig:
     in_channels: int
     out_channels: int
     kernel_sizes: tuple = (3, 5, 7)
-    stride: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "kernel_sizes", tuple(self.kernel_sizes))
@@ -32,8 +31,6 @@ class MdscConfig:
             raise ConfigurationError(f"kernel sizes must be distinct: {self.kernel_sizes}")
         if any(k < 1 or k % 2 == 0 for k in self.kernel_sizes):
             raise ConfigurationError(f"kernel sizes must be odd and positive: {self.kernel_sizes}")
-        if self.stride < 1:
-            raise ConfigurationError("stride must be >= 1")
 
 
 def mdsc_param_count(config: MdscConfig) -> int:
@@ -67,7 +64,7 @@ class MdscBlock(Module):
         # absorbed by the BatchNorm shift
         self.depthwise = [
             self.add(f"{self.branch_name}{k}",
-                     Conv1d(c1, c1, k, stride=config.stride, padding=(k - 1) // 2,
+                     Conv1d(c1, c1, k, padding=(k - 1) // 2,
                             groups=c1 if self.separable else 1, bias=False,
                             init=init))
             for k in config.kernel_sizes

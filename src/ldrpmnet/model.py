@@ -147,7 +147,6 @@ class Network(Module):
 
     def __init__(self, config: ModelConfig, seed: int):
         self.config = config
-        self.seed = seed
         init = ParamInitializer(seed)
         stem_c, stem_k, stem_s = config.stem
         self.stem = Conv1d(1, stem_c, stem_k, stride=stem_s,
@@ -158,7 +157,7 @@ class Network(Module):
         self.stages = []
         c_in = stem_c
         for i, (c_out, kernel_set, pool) in enumerate(config.stages):
-            blk = block_cls(MdscConfig(c_in, c_out, kernel_set, 1), init=init)
+            blk = block_cls(MdscConfig(c_in, c_out, kernel_set), init=init)
             self.stages.append((self.add(f"stage{i}", blk), pool))
             c_in = c_out
 

@@ -17,6 +17,7 @@ from . import tensor as T
 from .complexity import count
 from .dataset import SampleSet
 from .model import MODEL_PRESETS, ModelConfig, Network, build_preset
+from .rng import stream
 from .tensor import Tensor, no_grad
 
 
@@ -157,9 +158,7 @@ def train(net: Network, sample_set: SampleSet, config: TrainConfig):
     trace = []
     best_acc, best_snap = -1.0, net.snapshot()
     for epoch in range(1, config.epochs + 1):
-        rng = np.random.Generator(np.random.Philox(
-            key=np.array([config.seed, epoch], dtype=np.uint64)))
-        order = train_idx[rng.permutation(len(train_idx))]
+        order = train_idx[stream(config.seed, epoch).permutation(len(train_idx))]
         losses = []
         for step, lo in enumerate(range(0, len(order), config.batch_size)):
             idx = order[lo:lo + config.batch_size]
@@ -222,19 +221,17 @@ def evaluate(net: Network, sample_set: SampleSet) -> MetricsReport:
 # ablation harness
 # --------------------------------------------------------------------------
 
-ABLATION_METHODS = ("cnt", "cnt-mdsc", "cnt-bsa", "ld-rpmnet")
+def ablate(sample_set: SampleSet, train_config: TrainConfig,
+           base: ModelConfig | None = None) -> list:
+    """Train and evaluate all four variants with shared widths and one seed:
+    `train_config.seed` draws every variant's init and shuffles.
 
-
-def ablate(sample_set: SampleSet, seed: int, base: ModelConfig | None = None,
-           train_config: TrainConfig | None = None) -> list:
-    """Train and evaluate all four variants with shared widths and seed.
-
-    Returns [(method name, MetricsReport, ComplexityReport), ...].
+    Returns [(method name, MetricsReport, ComplexityReport), ...] in
+    MODEL_PRESETS order.
     """
-    train_config = train_config or TrainConfig(seed=seed)
     results = []
-    for method in ABLATION_METHODS:
-        net = build_preset(method, base=base, seed=seed)
+    for method in MODEL_PRESETS:
+        net = build_preset(method, base=base, seed=train_config.seed)
         net, _ = train(net, sample_set, train_config)
         metrics = evaluate(net, sample_set)
         results.append((method, metrics, count(net)))

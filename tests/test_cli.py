@@ -41,6 +41,12 @@ def _gen(tmp_path, name="data", seed=0):
     return out
 
 
+@pytest.fixture(scope="module")
+def shared_data(tmp_path_factory):
+    """A 1024-sample-length dataset for tests that only read it."""
+    return _gen(tmp_path_factory.mktemp("shared"))
+
+
 class TestUsage:
     def test_no_arguments(self, capsys):
         assert cli_dispatch([]) == 1
@@ -104,6 +110,22 @@ class TestCount:
         assert cli_dispatch(["count", "--model", "cnt", "--config", bad]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["count", "train"])
+    def test_config_variant_other_than_the_model_is_runtime_error(
+            self, tmp_path, capsys, command):
+        cfg = os.path.join(tmp_path, "cnt.cfg")
+        with open(cfg, "w") as f:
+            f.write(SMALL_CONFIG + "conv_kind = standard\nattn_kind = mhsa\n")
+        run = tmp_path / "run"
+        argv = [command, "--model", "ld-rpmnet", "--config", cfg]
+        if command == "train":
+            argv += ["--data", str(tmp_path), "--out", str(run)]
+        assert cli_dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "('standard', 'mhsa')" in err
+        assert not run.exists()
+        assert cli_dispatch(["count", "--model", "cnt", "--config", cfg]) == 0
 
 
 class TestGenData:
@@ -209,6 +231,7 @@ class TestTrainEval:
                              "--config", cfg, "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "no samples" in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command", ["train", "ablate"])
     def test_class_count_other_than_the_corpus_is_runtime_error(
@@ -239,6 +262,49 @@ class TestTrainEval:
         assert cli_dispatch(["train", "--data", data, "--model", "ld-rpmnet",
                              "--config", bad, "--out", run]) == 2
         assert "batch_sise" in capsys.readouterr().err
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("argv", [
+        ["gen-data", "--seed", "-1", "--out", "{out}", "--input-length", "1024"],
+        ["train", "--data", "{data}", "--model", "ld-rpmnet", "--config", "{cfg}",
+         "--seed", "-1", "--out", "{out}"],
+        ["ablate", "--data", "{data}", "--config", "{cfg}",
+         "--seed", "18446744073709551616", "--out", "{out}"],
+        ["train", "--data", "{data}", "--model", "ld-rpmnet",
+         "--config", "{negative_cfg}", "--out", "{out}"],
+        ["gradcheck", "--seed", "-1"]],
+        ids=["gen-data", "train", "ablate", "config", "gradcheck"])
+    def test_seed_outside_the_range_is_runtime_error(self, tmp_path, capsys,
+                                                     shared_data, argv):
+        cfg = _write_config(tmp_path)
+        negative_cfg = tmp_path / "negative.cfg"
+        negative_cfg.write_text(SMALL_CONFIG + "seed = -1\n")
+        out = tmp_path / "out"
+        args = [a.format(out=out, data=shared_data, cfg=cfg,
+                         negative_cfg=negative_cfg) for a in argv]
+        assert cli_dispatch(args) == 2
+        err = capsys.readouterr().err
+        assert "error: seed must be an integer in [0, 2**64)" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_ablate_takes_the_config_seed_without_the_flag(
+            self, tmp_path, monkeypatch, shared_data):
+        seeds = []
+
+        def fake_ablate(samples, train_config, base=None):
+            seeds.append(train_config.seed)
+            return []
+
+        monkeypatch.setattr(cli, "ablate", fake_ablate)
+        cfg = tmp_path / "seeded.cfg"
+        cfg.write_text(SMALL_CONFIG + "seed = 5\n")
+        out = tmp_path / "run"
+        assert cli_dispatch(["ablate", "--data", shared_data, "--config", str(cfg),
+                             "--out", str(out)]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert seeds == [5] and manifest["seed"] == 5
 
 
 class TestOsErrors:

@@ -104,11 +104,6 @@ class TestForward:
         with pytest.raises(T.DimensionError, match="channel"):
             block.forward(Tensor(np.zeros((1, 3, 8))))
 
-    def test_output_length_with_stride(self):
-        block = MdscBlock(MdscConfig(2, 4, (3, 5), stride=2), seed=0)
-        out = block.forward(Tensor(np.zeros((1, 2, 17))), mode="eval")
-        assert out.shape == (1, 4, 9)            # ceil(17/2)
-
 
 class TestInvariants:
     def test_separability_saving_sweep(self):

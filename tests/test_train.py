@@ -7,11 +7,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ldrpmnet import dataset, tensor as T
-from ldrpmnet.model import REDUCED_CONFIG, ModelConfig, build, build_preset
+from ldrpmnet import dataset, tensor as T, train as train_module
+from ldrpmnet.model import (MODEL_PRESETS, REDUCED_CONFIG, ModelConfig, build,
+                            build_preset)
 from ldrpmnet.tensor import Tensor
 from ldrpmnet.train import (AdamWState, MetricsReport, TrainConfig,
-                            accuracy_on, adamw_step, evaluate,
+                            ablate, accuracy_on, adamw_step, evaluate,
                             metrics_from_confusion, trace_csv, train)
 
 SMALL = ModelConfig(input_length=1024, stem=(4, 7, 2),
@@ -244,6 +245,24 @@ class TestTrainLoop:
         test_labels = corpus.labels[corpus.indices("test")]
         expected = (test_labels == 2).mean()
         assert accuracy_on(net, corpus, "test") == expected
+
+    def test_ablate_draws_every_variant_from_the_config_seed(self, corpus,
+                                                             monkeypatch):
+        seeds = []
+
+        def spy_build(name, base, seed):
+            seeds.append(seed)
+            return build_preset(name, base=base, seed=seed)
+
+        def spy_train(net, sample_set, config):
+            seeds.append(config.seed)
+            return net, []
+
+        monkeypatch.setattr(train_module, "build_preset", spy_build)
+        monkeypatch.setattr(train_module, "train", spy_train)
+        results = ablate(corpus, TrainConfig(seed=4), base=SMALL)
+        assert [method for method, _, _ in results] == list(MODEL_PRESETS)
+        assert seeds == [4] * 8
 
 
 class TestGraphOwnership:
