@@ -19,7 +19,9 @@ stage0.depthwise_k3.weight or encoder1.attn.w_k.bias.
 
 from __future__ import annotations
 
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,8 +40,15 @@ CHECKPOINT_MAGIC = b"LDRPM1"
 # mapped and faulted in afresh on every call (a default-config batch-64
 # forward took 258k minor faults); a block's are reused from the heap.  On
 # a 2-core Xeon VM, blocks of 2-4 default-config samples ran fastest and
-# 32 or more faulted; REDUCED_CONFIG blocks of 8-64 ran alike.
+# 32 or more faulted; REDUCED_CONFIG blocks of 8-64 ran alike.  A no-grad
+# forward runs its blocks on the usable CPUs and joins the logits in order.
 _EVAL_BLOCK = 1 << 15
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -176,11 +185,13 @@ class Network(Module):
 
         An eval-mode forward of an input that needs no gradient runs over
         blocks of max(1, _EVAL_BLOCK // input_length) samples and joins
-        their logits; eval mode treats every sample on its own, so the
-        result is that of one pass.  Train mode runs as one pass, because
-        its BatchNorm normalizes by whole-batch statistics, and so does an
-        input with requires_grad, as re-wrapping its slices would cut its
-        gradient.
+        their logits in block order; eval mode treats every sample on its
+        own, so the result is that of one pass.  Under no_grad the blocks
+        run on a pool of one thread per usable CPU, made for the call;
+        with grad mode on they run in the calling thread, which records
+        their graph.  Train mode runs as one pass, because its BatchNorm
+        normalizes by whole-batch statistics, and so does an input with
+        requires_grad, as re-wrapping its slices would cut its gradient.
         """
         if x.ndim != 3 or x.shape[1] != 1:
             raise T.DimensionError(f"expected input [B, 1, N], got {x.shape}")
@@ -193,8 +204,19 @@ class Network(Module):
             step = max(1, _EVAL_BLOCK // x.shape[2])
         if step >= x.shape[0]:
             return self._logits(x, mode)
-        return T.concat([self._logits(Tensor(x.data[lo:lo + step]), mode)
-                         for lo in range(0, x.shape[0], step)], axis=0)
+        starts = range(0, x.shape[0], step)
+        workers = min(_usable_cpus(), len(starts))
+        if T.grad_enabled() or workers < 2:
+            outs = [self._logits(Tensor(x.data[lo:lo + step]), mode)
+                    for lo in starts]
+        else:
+            def block(lo):
+                with T.no_grad():          # grad mode is per thread
+                    return self._logits(Tensor(x.data[lo:lo + step]), mode)
+
+            with ThreadPoolExecutor(workers) as pool:
+                outs = list(pool.map(block, starts))
+        return T.concat(outs, axis=0)
 
     def _logits(self, x: Tensor, mode: str) -> Tensor:
         y = T.gelu(self.stem_bn.forward(self.stem.forward(x), mode))

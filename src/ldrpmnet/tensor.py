@@ -10,8 +10,8 @@ the primitives in this module.  Design points:
   loss newest first, then detaches them, so a graph lives as long as its loss.
 * Tensors are value-semantic and grad mode is per thread.  Shared state: the
   node counter, a weak set of the tensors holding a node, and the process's
-  malloc thresholds, which importing the module fixes on glibc (see
-  `_keep_freed_heap`).
+  malloc thresholds and single malloc arena, which importing the module fixes
+  on glibc (see `_keep_freed_heap`).
 * The layer ops add their own bias: one graph node per conv or linear layer.
 * conv1d has two paths.  When groups == C_in == C_out (every MDSC branch),
   each batch block is copied into zero-padded contiguous rows and the k
@@ -33,7 +33,7 @@ from scipy.special import ndtr as _ndtr
 
 __all__ = [
     "Tensor", "DimensionError", "ConfigurationError", "TapeError",
-    "no_grad", "backward", "tape_len", "tape_node_sizes",
+    "no_grad", "grad_enabled", "backward", "tape_len", "tape_node_sizes",
     "add", "mul", "matmul", "reshape", "transpose", "concat",
     "tsum", "mean", "max_pool1d", "softmax", "gelu", "layer_norm",
     "linear", "conv1d", "batchnorm1d", "cross_entropy", "BnState",
@@ -51,8 +51,11 @@ def _keep_freed_heap() -> None:
     without such a block every step faults its pages in again (20 s of
     REDUCED_CONFIG ld-rpmnet training on a 2-core VM took 2.1M minor faults
     and 4.3 s of kernel time).  Fixed thresholds keep blocks up to 32 MiB
-    on the heap and up to 256 MiB of free heap in the process.  Other C
-    libraries are left as they are.
+    on the heap and up to 256 MiB of free heap in the process.  One arena
+    makes the threads of a pooled eval forward allocate from that heap too;
+    with glibc's per-thread arenas each worker mapped its own, and the peak
+    RSS of a default-config ld-rpmnet inference run on the same VM rose
+    from 202 to 253 MB.  Other C libraries are left as they are.
     """
     if not sys.platform.startswith("linux"):
         return
@@ -64,6 +67,7 @@ def _keep_freed_heap() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(-3, 32 << 20)      # M_MMAP_THRESHOLD, glibc's 64-bit maximum
     mallopt(-1, 256 << 20)     # M_TRIM_THRESHOLD
+    mallopt(-8, 1)             # M_ARENA_MAX
 
 
 _keep_freed_heap()
@@ -111,14 +115,24 @@ class no_grad:
         return False
 
 
+def grad_enabled() -> bool:
+    """Whether ops in this thread record graph nodes (off under no_grad)."""
+    return _GRAD_MODE.enabled
+
+
 def tape_len() -> int:
     """Number of live tensors, in any thread, that still hold a graph node."""
     return len(_RECORDED)
 
 
 def tape_node_sizes() -> list[int]:
-    """Element counts of the live tensors that still hold a graph node."""
-    return [t.data.size for t in _RECORDED]
+    """Element counts of the live tensors that still hold a graph node.
+
+    Reads a copy of the set's weak references, taken in one C call, so other
+    threads may record or free nodes meanwhile.
+    """
+    live = (ref() for ref in list(_RECORDED.data))
+    return [t.data.size for t in live if t is not None]
 
 
 def _record(data, parents, backward_fn) -> "Tensor":

@@ -4,6 +4,7 @@ import inspect
 import os
 import platform
 import textwrap
+import threading
 
 import numpy as np
 import numpy.testing as npt
@@ -77,7 +78,9 @@ class TestForward:
 
 
 class TestEvalBlocks:
-    """Eval-mode forwards in 2-sample blocks over batches of 5."""
+    """Eval-mode forwards in 2-sample blocks over batches of 5; under no_grad
+    the blocks run on one thread per usable CPU, which the pool tests set by
+    patching os.sched_getaffinity."""
 
     @pytest.fixture(autouse=True)
     def two_sample_blocks(self, monkeypatch):
@@ -122,6 +125,97 @@ class TestEvalBlocks:
         monkeypatch.setattr(model, "_EVAL_BLOCK", 5 * SMALL.input_length)
         for a, b in zip(blocked, grads(build(SMALL, seed=0))):
             npt.assert_allclose(a, b, rtol=0, atol=1e-10)
+
+    @staticmethod
+    def _cpus(monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus),
+                            raising=False)
+
+    @staticmethod
+    def _spy_blocks(monkeypatch):
+        """Record (thread id, grad mode, output needs grad) for each block."""
+        seen = []
+        logits = Network._logits
+
+        def spy(net, x, mode):
+            out = logits(net, x, mode)
+            seen.append((threading.get_ident(), T.grad_enabled(),
+                         out.requires_grad))
+            return out
+
+        monkeypatch.setattr(Network, "_logits", spy)
+        return seen
+
+    def test_pooled_logits_bit_identical_to_one_thread(self, monkeypatch):
+        net = build(SMALL, seed=0)
+        x = Tensor(self._batch(65))
+        logits = []
+        for cpus in ({0}, {0, 1}, {0, 1, 2, 3}):
+            self._cpus(monkeypatch, cpus)
+            with T.no_grad():
+                logits.append(net.forward(x).data)
+        for pooled in logits[1:]:
+            assert np.array_equal(pooled, logits[0])
+
+    def test_pool_workers_record_no_graph(self, monkeypatch):
+        self._cpus(monkeypatch, {0, 1})
+        seen = self._spy_blocks(monkeypatch)
+        net = build(SMALL, seed=0)
+        assert all(p.requires_grad for _, p in net.parameters())
+        with T.no_grad():
+            out = net.forward(Tensor(self._batch(66)))
+        assert T.tape_len() == 0 and not out.requires_grad
+        assert len(seen) == 3
+        assert {ident for ident, _, _ in seen} != {threading.get_ident()}
+        assert not any(grad or needs for _, grad, needs in seen)
+
+    @pytest.mark.parametrize("cpus, batch, grad", [
+        ({0}, 5, False),               # one usable CPU
+        ({0, 1}, 1, False),            # one block
+        ({0, 1}, 5, True),             # grad mode records in this thread
+    ])
+    def test_no_pool_without_two_cpus_two_blocks_and_no_grad(
+            self, monkeypatch, cpus, batch, grad):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("started a thread pool")
+
+        self._cpus(monkeypatch, cpus)
+        monkeypatch.setattr(model, "ThreadPoolExecutor", no_pool)
+        seen = self._spy_blocks(monkeypatch)
+        net = build(SMALL, seed=0)
+        x = Tensor(self._batch(67)[:batch])
+        if grad:
+            out = net.forward(x)
+        else:
+            with T.no_grad():
+                out = net.forward(x)
+        assert out.shape == (batch, SMALL.num_classes)
+        assert {ident for ident, _, _ in seen} == {threading.get_ident()}
+        assert all(needs == grad for _, _, needs in seen)
+
+    def test_no_pool_thread_outlives_the_call(self, monkeypatch):
+        self._cpus(monkeypatch, {0, 1})
+        net = build(SMALL, seed=0)
+        before = threading.active_count()
+        with T.no_grad():
+            net.forward(Tensor(self._batch(68)))
+        assert threading.active_count() == before
+
+    def test_pool_block_error_raised_in_caller(self, monkeypatch):
+        logits = Network._logits
+        caller = threading.get_ident()
+        x = self._batch(69)
+
+        def failing(net, block, mode):
+            assert threading.get_ident() != caller
+            if block.data[0, 0, 0] == x[2, 0, 0]:
+                raise FloatingPointError("block 2 failed")
+            return logits(net, block, mode)
+
+        self._cpus(monkeypatch, {0, 1})
+        monkeypatch.setattr(Network, "_logits", failing)
+        with T.no_grad(), pytest.raises(FloatingPointError, match="block 2"):
+            build(SMALL, seed=0).forward(Tensor(x))
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",

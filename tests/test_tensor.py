@@ -1,4 +1,6 @@
 import platform
+import sys
+import threading
 
 import numpy as np
 import numpy.testing as npt
@@ -513,21 +515,67 @@ class TestMiscOps:
             assert np.isfinite(out.data).all()
 
 
+def test_tape_node_sizes_while_another_thread_records():
+    x = Tensor(np.ones(3), requires_grad=True)
+    stop = threading.Event()
+
+    def record():
+        while not stop.is_set():
+            nodes = [T.mul(x, x) for _ in range(50)]
+            del nodes
+
+    worker = threading.Thread(target=record)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    worker.start()
+    try:
+        for _ in range(20_000):
+            assert set(T.tape_node_sizes()) <= {3}
+    finally:
+        stop.set()
+        worker.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    assert T.tape_len() == 0
+
+
+def _minor_faults():
+    import resource
+
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _churn():
+    """Allocate and free 80 MB of 4-MB blocks, more than twice glibc's
+    dynamic mmap threshold can reach."""
+    blocks = [np.ones(1 << 19) for _ in range(20)]
+    del blocks
+
+
+_CHURN_PAGES = 20 * (1 << 19) * 8 // 4096
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="sets glibc malloc thresholds only")
 def test_freed_step_memory_is_reused_without_faults():
-    # 80 MB of 4-MB blocks, more than twice glibc's dynamic mmap threshold
-    # can reach, so without fixed thresholds the freed heap is trimmed
-    import resource
-
-    def minor_faults():
-        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-
+    # without fixed thresholds the freed heap is trimmed
     rounds = []
     for _ in range(4):
-        before = minor_faults()
-        blocks = [np.ones(1 << 19) for _ in range(20)]
-        del blocks
-        rounds.append(minor_faults() - before)
-    pages = 20 * (1 << 19) * 8 // 4096
-    assert max(rounds[1:]) < pages // 10, rounds
+        before = _minor_faults()
+        _churn()
+        rounds.append(_minor_faults() - before)
+    assert max(rounds[1:]) < _CHURN_PAGES // 10, rounds
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="sets glibc's arena count only")
+def test_new_thread_reuses_the_freed_heap():
+    # with an arena per thread, the new thread maps and faults in its own
+    _churn()
+    before = _minor_faults()
+    worker = threading.Thread(target=_churn)
+    worker.start()
+    worker.join(timeout=30)
+    faults = _minor_faults() - before
+    assert not worker.is_alive()
+    assert faults < _CHURN_PAGES // 10, faults
