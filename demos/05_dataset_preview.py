@@ -19,7 +19,7 @@ print(f"{len(samples)} samples, length {samples.input_length}")
 print("\nclass  count  train/val/test      mean RMS")
 for c in range(1, 11):
     mask = samples.labels == c
-    rms = np.sqrt((samples.waveforms[mask] ** 2).mean(axis=1))
+    rms = np.sqrt((samples.waveforms[mask].astype(np.float64) ** 2).mean(axis=1))
     per_split = [int((samples.split[mask] == p).sum())
                  for p in ("train", "val", "test")]
     print(f"{c:>5} {mask.sum():>6}  {per_split[0]:>4}/{per_split[1]}/{per_split[2]:<6}"
@@ -34,7 +34,7 @@ print(f"RMS nearest-centroid test accuracy (difficulty floor): {floor:.3f}")
 # a quick textual sketch of one waveform per class
 print("\ncoarse |x| profile (16 bins, 0-9 scale):")
 for c in (1, 5, 7, 10):
-    w = samples.waveforms[np.flatnonzero(samples.labels == c)[0]]
+    w = samples.waveforms[np.flatnonzero(samples.labels == c)[0]].astype(np.float64)
     bins = np.abs(w).reshape(16, -1).mean(axis=1)
     scale = (9 * bins / bins.max()).astype(int)
     print(f"class {c:>2}: " + "".join(str(v) for v in scale))

@@ -7,7 +7,8 @@ recipe and differ only by a strictly increasing amplitude scale; classes 2
 and 3 share tone structure and differ only in envelope jitter — the two
 deliberately hard axes of the task.  A per-sample random stream,
 `rng.stream(seed, sample index)`, makes generation of sample i independent
-of generation order.
+of generation order.  Waveforms are float32 in memory and on disk; the
+network's tensors convert them to float64 exactly.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ RECIPES = {
 
 @dataclass
 class SampleSet:
-    waveforms: np.ndarray               # [n, input_length] float64
+    waveforms: np.ndarray               # [n, input_length] float32, as on disk
     labels: np.ndarray                  # [n] int, ids from CLASS_IDS
     split: np.ndarray = field(default=None)  # [n] of '', 'train', 'val', 'test'
 
@@ -157,15 +158,15 @@ def _render(recipe: ClassRecipe, n: int, rng: np.random.Generator) -> np.ndarray
     wave = wave + recipe.noise * rng.standard_normal(n)
     wave /= np.abs(wave).max()
     wave *= rng.uniform(recipe.amp_lo, recipe.amp_hi)
-    # quantize to float32 precision so the on-disk format round-trips bit-exactly
-    return np.clip(wave, -1.0, 1.0).astype("<f4").astype(np.float64)
+    # float32 is the on-disk precision, so the format round-trips bit-exactly
+    return np.clip(wave, -1.0, 1.0).astype(np.float32)
 
 
 def generate(seed: int, input_length: int = 8192) -> SampleSet:
     """Deterministic corpus with the fixed class counts (total 1212)."""
     if input_length < 1024:
         raise ValueError(f"input_length must be >= 1024, got {input_length}")
-    waveforms = np.empty((TOTAL_SAMPLES, input_length))
+    waveforms = np.empty((TOTAL_SAMPLES, input_length), dtype=np.float32)
     labels = np.empty(TOTAL_SAMPLES, dtype=np.int64)
     i = 0
     for class_id, count in zip(CLASS_IDS, CLASS_COUNTS):
@@ -246,40 +247,67 @@ def _load_waveform(path) -> np.ndarray:
     if len(blob) != 9 + 4 * n:
         raise TruncatedFileError(
             f"{path}: expected {9 + 4 * n} bytes for {n} samples, got {len(blob)}")
-    return np.frombuffer(blob[9:], dtype="<f4").astype(np.float64)
+    return np.frombuffer(blob, dtype="<f4", offset=9)
+
+
+def _manifest_rows(manifest) -> list:
+    """(class id, split, file name) of every manifest row, all checked."""
+    rows = []
+    try:
+        with open(manifest, newline="", encoding="utf-8") as f:
+            reader = csv.reader(f)
+            header = next(reader, None)
+            if header != ["id", "class", "split", "file"]:
+                raise ManifestError(f"bad manifest header {header}")
+            for row in reader:
+                where = f"{manifest}, line {reader.line_num}"
+                if len(row) != 4:
+                    raise ManifestError(f"{where}: bad manifest row {row}")
+                _, cls, part, name = row
+                try:
+                    cls = int(cls)
+                except ValueError:
+                    raise ManifestError(
+                        f"{where}: class id {cls!r} is not an integer") from None
+                if cls not in CLASS_IDS:
+                    raise ManifestError(
+                        f"{where}: class id {cls} outside 1..{CLASS_IDS[-1]}")
+                if part not in ("", "train", "val", "test"):
+                    raise ManifestError(f"{where}: bad split label {part!r}")
+                if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+                    raise ManifestError(
+                        f"{where}: file {name!r} is not a file name in the "
+                        f"dataset directory")
+                rows.append((cls, part, name))
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ManifestError(f"{manifest}: {exc}") from None
+    if not rows:
+        raise ManifestError(f"{manifest} lists no samples")
+    return rows
 
 
 def load(path) -> SampleSet:
     manifest = os.path.join(path, "manifest.csv")
     if not os.path.exists(manifest):
         raise ManifestError(f"{manifest} does not exist")
-    rows = []
-    with open(manifest, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["id", "class", "split", "file"]:
-            raise ManifestError(f"bad manifest header {header}")
-        for row in reader:
-            if len(row) != 4:
-                raise ManifestError(f"bad manifest row {row}")
-            rows.append(row)
-    if not rows:
-        raise ManifestError(f"{manifest} lists no samples")
-    waveforms, labels, splits = [], [], []
-    for _, cls, part, name in rows:
-        cls = int(cls)
-        if cls not in CLASS_IDS:
-            raise ManifestError(f"class id {cls} outside 1..{CLASS_IDS[-1]}")
-        if part not in ("", "train", "val", "test"):
-            raise ManifestError(f"bad split label {part!r}")
-        waveforms.append(_load_waveform(os.path.join(path, name)))
-        labels.append(cls)
-        splits.append(part)
-    lengths = {len(w) for w in waveforms}
-    if len(lengths) > 1:
-        raise ManifestError(f"inconsistent waveform lengths {sorted(lengths)}")
-    return SampleSet(np.array(waveforms), np.array(labels, dtype=np.int64),
-                     np.array(splits, dtype="U5"))
+    rows = _manifest_rows(manifest)
+    waveforms = None
+    for i, (_, _, name) in enumerate(rows):
+        file = os.path.join(path, name)
+        try:
+            wave = _load_waveform(file)
+        except FileNotFoundError:
+            raise ManifestError(
+                f"{file}, listed in {manifest}, does not exist") from None
+        if waveforms is None:
+            waveforms = np.empty((len(rows), len(wave)), dtype=np.float32)
+        elif len(wave) != waveforms.shape[1]:
+            raise ManifestError(
+                f"inconsistent waveform lengths: {file} holds {len(wave)} "
+                f"samples, {rows[0][2]} holds {waveforms.shape[1]}")
+        waveforms[i] = wave
+    return SampleSet(waveforms, np.array([r[0] for r in rows], dtype=np.int64),
+                     np.array([r[1] for r in rows], dtype="U5"))
 
 
 # --------------------------------------------------------------------------
@@ -292,7 +320,7 @@ def rms_centroid_accuracy(sample_set: SampleSet) -> float:
     Fit on the train split, score on the test split.  This is the floor the
     network has to clearly beat for the task to be non-trivial.
     """
-    rms = np.sqrt((sample_set.waveforms ** 2).mean(axis=1))
+    rms = np.sqrt((sample_set.waveforms.astype(np.float64) ** 2).mean(axis=1))
     train = sample_set.indices("train")
     test = sample_set.indices("test")
     classes = np.array(CLASS_IDS)

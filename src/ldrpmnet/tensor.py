@@ -3,11 +3,13 @@
 Everything downstream (conv blocks, attention, the full network) is built on
 the primitives in this module.  Design points:
 
-* float64 everywhere; desk scale makes the memory cost irrelevant and keeps
-  gradient-check tolerances tight.
+* float64 everywhere, which keeps gradient-check tolerances tight; float32
+  inputs such as the corpus convert exactly.
 * Each op output that needs a gradient keeps its graph node (creation number,
   parents, backward function); backward runs the nodes reachable from the
-  loss newest first, then detaches them, so a graph lives as long as its loss.
+  loss newest first and detaches each as it runs, so the graph is freed as
+  backward passes it and a train step's peak memory is the end of its
+  forward.
 * Tensors are value-semantic and grad mode is per thread.  Shared state: the
   node counter, a weak set of the tensors holding a node, and the process's
   malloc thresholds and single malloc arena, which importing the module fixes
@@ -145,12 +147,37 @@ def _record(data, parents, backward_fn) -> "Tensor":
     return out
 
 
+def _detach(out: "Tensor") -> None:
+    out._node = None
+    out.grad = None
+    _RECORDED.discard(out)
+
+
+def _pass_grads(node, grad: np.ndarray) -> None:
+    """Run one node's backward function and add its results to the parents.
+
+    Only this frame holds the returned gradients, so they are freed when it
+    returns."""
+    _, parents, fn = node
+    for p, g in zip(parents, fn(grad)):
+        if g is None or not p.requires_grad:
+            continue
+        if p.grad is None:
+            p.grad = np.array(g)     # a copy: g may be a view or shared
+        else:
+            p.grad += g
+
+
 def backward(loss: "Tensor") -> None:
     """Accumulate dLoss/dLeaf into leaf .grad over the graph behind `loss`.
 
     The nodes reachable from `loss` run newest first, so each runs after all
-    its consumers, and are then detached; calling backward again on the same
-    loss raises (grad accumulation across backward calls is not supported).
+    its consumers.  Each is detached as it runs: its saved arrays and its
+    gradient are freed before the next node runs, so a train step's peak
+    memory is the end of its forward.  A backward function that raises
+    leaves the nodes not yet run detached too.  Calling backward again on
+    the same loss raises (grad accumulation across backward calls is not
+    supported).
     """
     if loss.data.size != 1:
         raise TapeError(f"loss must be scalar, got shape {loss.shape}")
@@ -165,25 +192,20 @@ def backward(loss: "Tensor") -> None:
                 nodes.add(p)
                 stack.append(p)
     order = sorted(nodes, key=lambda t: t._node[0], reverse=True)
+    del nodes, stack
     loss.grad = np.ones_like(loss.data)
     try:
-        for out in order:
-            if out.grad is None:
-                continue
-            _, parents, fn = out._node
-            grads = fn(out.grad)
-            for p, g in zip(parents, grads):
-                if g is None or not p.requires_grad:
-                    continue
-                if p.grad is None:
-                    p.grad = np.array(g)     # a copy: g may be a view or shared
-                else:
-                    p.grad += g
+        for i in range(len(order)):
+            out, order[i] = order[i], None
+            node, grad = out._node, out.grad
+            _detach(out)
+            del out                  # its data lives on only if `node` saved it
+            if grad is not None:
+                _pass_grads(node, grad)
     finally:
         for out in order:
-            out._node = None
-            out.grad = None
-            _RECORDED.discard(out)
+            if out is not None:
+                _detach(out)
 
 
 # --------------------------------------------------------------------------

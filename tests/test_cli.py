@@ -233,6 +233,23 @@ class TestTrainEval:
         assert "error:" in err and "no samples" in err and "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("row, message", [
+        ("0,three,train,wav00000.bin", "class id 'three' is not an integer"),
+        ("0,1,train,", "file '' is not a file name"),
+        ("0,1,train,../manifest.csv", "file '../manifest.csv' is not a file name")],
+        ids=["class-id", "empty-file", "parent-dir"])
+    def test_bad_manifest_row_is_runtime_error(self, tmp_path, capsys, row,
+                                               message):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "manifest.csv").write_text(f"id,class,split,file\n{row}\n")
+        cfg = _write_config(tmp_path)
+        assert cli_dispatch(["train", "--data", str(data), "--model", "ld-rpmnet",
+                             "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("command", ["train", "ablate"])
     def test_class_count_other_than_the_corpus_is_runtime_error(
             self, tmp_path, capsys, monkeypatch, command):
