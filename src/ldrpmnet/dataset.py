@@ -7,8 +7,9 @@ recipe and differ only by a strictly increasing amplitude scale; classes 2
 and 3 share tone structure and differ only in envelope jitter — the two
 deliberately hard axes of the task.  A per-sample random stream,
 `rng.stream(seed, sample index)`, makes generation of sample i independent
-of generation order.  Waveforms are float32 in memory and on disk; the
-network's tensors convert them to float64 exactly.
+of generation order.  Waveforms are float32 in memory and on disk; eval
+runs on them in float32 and training casts them to float64 (see
+`tensor`).
 """
 
 from __future__ import annotations

@@ -36,12 +36,14 @@ CHECKPOINT_MAGIC = b"LDRPM1"
 
 # Input elements per eval-mode forward block: 4 samples at the default
 # input length, whose widest activation (stage 0's branch concat) is then
-# 6 MiB.  Whole-batch activations above glibc's 32-MiB mmap threshold are
-# mapped and faulted in afresh on every call (a default-config batch-64
+# 6 MiB in float64 and 3 MiB in float32, the eval dtype of the corpus.
+# Whole-batch activations above glibc's 32-MiB mmap threshold are mapped
+# and faulted in afresh on every call (a default-config batch-64 float64
 # forward took 258k minor faults); a block's are reused from the heap.  On
-# a 2-core Xeon VM, blocks of 2-4 default-config samples ran fastest and
-# 32 or more faulted; REDUCED_CONFIG blocks of 8-64 ran alike.  A no-grad
-# forward runs its blocks on the usable CPUs and joins the logits in order.
+# a 2-core Xeon VM, float64 blocks of 2-4 default-config samples ran
+# fastest and 32 or more faulted; REDUCED_CONFIG blocks of 8-64 ran alike.
+# A no-grad forward runs its blocks on the usable CPUs and joins the logits
+# in order.
 _EVAL_BLOCK = 1 << 15
 
 
@@ -192,6 +194,10 @@ class Network(Module):
         their graph.  Train mode runs as one pass, because its BatchNorm
         normalizes by whole-batch statistics, and so does an input with
         requires_grad, as re-wrapping its slices would cut its gradient.
+
+        Eval mode computes in the input's dtype (see `tensor`).  Train mode
+        computes in float64: it casts any other input to a float64 copy,
+        which needs no gradient (ROADMAP item 2b removes the cast).
         """
         if x.ndim != 3 or x.shape[1] != 1:
             raise T.DimensionError(f"expected input [B, 1, N], got {x.shape}")
@@ -199,6 +205,8 @@ class Network(Module):
             raise T.DimensionError(
                 f"input length {x.shape[2]} != configured "
                 f"{self.config.input_length}")
+        if mode == "train" and x.data.dtype != np.float64:
+            x = Tensor(x.data.astype(np.float64))
         step = x.shape[0]
         if mode == "eval" and not x.requires_grad:
             step = max(1, _EVAL_BLOCK // x.shape[2])

@@ -1,10 +1,16 @@
-"""Dense float64 tensors with graph-based reverse-mode automatic differentiation.
+"""Dense tensors with graph-based reverse-mode automatic differentiation.
 
 Everything downstream (conv blocks, attention, the full network) is built on
 the primitives in this module.  Design points:
 
-* float64 everywhere, which keeps gradient-check tolerances tight; float32
-  inputs such as the corpus convert exactly.
+* One dtype rule.  A tensor holds float32 or float64; `Tensor()` keeps
+  either as given and converts anything else to float64.  An op computes
+  in float32 if any operand is float32, and in float64 otherwise: float64
+  parameters, BatchNorm running statistics and 0-d constants are cast
+  inside the op, and its buffers take that dtype.  A gradient takes its
+  tensor's dtype, so float64 parameters keep float64 gradients.  Float64
+  inputs run exactly as they always have and keep gradient-check
+  tolerances tight; the float32 corpus runs as it is, at half the bytes.
 * Each op output that needs a gradient keeps its graph node (creation number,
   parents, backward function); backward runs the nodes reachable from the
   loss newest first and detaches each as it runs, so the graph is freed as
@@ -42,6 +48,7 @@ __all__ = [
 ]
 
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+_FLOAT32 = np.dtype(np.float32)
 
 
 def _keep_freed_heap() -> None:
@@ -156,14 +163,15 @@ def _detach(out: "Tensor") -> None:
 def _pass_grads(node, grad: np.ndarray) -> None:
     """Run one node's backward function and add its results to the parents.
 
-    Only this frame holds the returned gradients, so they are freed when it
-    returns."""
+    A parent's first gradient is copied into the parent's dtype.  Only this
+    frame holds the returned gradients, so they are freed when it returns."""
     _, parents, fn = node
     for p, g in zip(parents, fn(grad)):
         if g is None or not p.requires_grad:
             continue
         if p.grad is None:
-            p.grad = np.array(g)     # a copy: g may be a view or shared
+            # a copy: g may be a view or shared
+            p.grad = np.array(g, dtype=p.data.dtype)
         else:
             p.grad += g
 
@@ -213,12 +221,19 @@ def backward(loss: "Tensor") -> None:
 # --------------------------------------------------------------------------
 
 class Tensor:
-    """Dense N-dimensional float64 array with an optional gradient."""
+    """Dense N-dimensional float32 or float64 array with an optional gradient.
+
+    float32 and float64 data are kept as given; anything else becomes
+    float64.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        if data.dtype != _FLOAT32:
+            data = data.astype(np.float64, copy=False)
+        self.data = data
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._node = None      # (seq, parents, backward_fn) until consumed
@@ -269,6 +284,18 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _cast(*tensors) -> list:
+    """The operands' data in the dtype the op computes in: float32 if any
+    operand is float32, else float64.  A missing operand (None) stays None;
+    an operand already in that dtype is not copied."""
+    data = [None if t is None else t.data for t in tensors]
+    for d in data:
+        if d is not None and d.dtype == _FLOAT32:
+            return [None if d is None else d.astype(_FLOAT32, copy=False)
+                    for d in data]
+    return data                  # every tensor holds float32 or float64
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a gradient over axes introduced or stretched by broadcasting."""
     extra = g.ndim - len(shape)
@@ -286,20 +313,22 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
+    ad, bd = _cast(a, b)
 
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    return _record(a.data + b.data, (a, b), bwd)
+    return _record(ad + bd, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
+    ad, bd = _cast(a, b)
 
     def bwd(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
 
-    return _record(a.data * b.data, (a, b), bwd)
+    return _record(ad * bd, (a, b), bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -310,13 +339,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(
             f"matmul inner axes disagree: {a.shape}[-1] != {b.shape}[-2]")
+    ad, bd = _cast(a, b)
 
     def bwd(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        ga = np.matmul(g, np.swapaxes(bd, -1, -2))
+        gb = np.matmul(np.swapaxes(ad, -1, -2), g)
         return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
-    return _record(np.matmul(a.data, b.data), (a, b), bwd)
+    return _record(np.matmul(ad, bd), (a, b), bwd)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -352,7 +382,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
                 raise DimensionError(
                     f"concat operand {i} differs on non-concatenated axis {ax}: "
                     f"{sb} vs {sa}")
-    y = np.concatenate([t.data for t in tensors], axis=axis)
+    y = np.concatenate(_cast(*tensors), axis=axis)
     lead = (slice(None),) * (axis % len(ref))
     bounds = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
@@ -428,22 +458,23 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         raise DimensionError(
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match "
             f"last axis of input {a.shape}")
-    mu = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
+    x, gd, bd = _cast(a, gamma, beta)
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + NORM_EPS)
-    xhat = (a.data - mu) * inv
+    xhat = (x - mu) * inv
 
     def bwd(g):
         dg = (g * xhat).sum(axis=tuple(range(g.ndim - 1)))
         db = g.sum(axis=tuple(range(g.ndim - 1)))
-        dxhat = g * gamma.data
+        dxhat = g * gd
         dx = inv * (dxhat
                     - dxhat.mean(axis=-1, keepdims=True)
                     - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
         # note: uses biased variance, hence plain means above
         return dx, dg, db
 
-    return _record(gamma.data * xhat + beta.data, (a, gamma, beta), bwd)
+    return _record(gd * xhat + bd, (a, gamma, beta), bwd)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -452,17 +483,18 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     if x.shape[-1] != weight.shape[-1]:
         raise DimensionError(
             f"linear input feature axis {x.shape[-1]} != weight in-axis {weight.shape[-1]}")
-    y = np.matmul(x.data, weight.data.T)
+    bias = None if bias is None else _as_tensor(bias)
+    xd, wd, bd = _cast(x, weight, bias)
+    y = np.matmul(xd, wd.T)
     parents = (x, weight)
     if bias is not None:
-        bias = _as_tensor(bias)
-        y += bias.data
+        y += bd
         parents += (bias,)
 
     def bwd(g):
         g2 = g.reshape(-1, g.shape[-1])
-        gw = g2.T @ x.data.reshape(-1, x.shape[-1])
-        return g @ weight.data, gw, None if bias is None else g2.sum(axis=0)
+        gw = g2.T @ xd.reshape(-1, x.shape[-1])
+        return g @ wd, gw, None if bias is None else g2.sum(axis=0)
 
     return _record(y, parents, bwd)
 
@@ -492,9 +524,9 @@ def max_pool1d(a: Tensor, kernel: int) -> Tensor:
     def bwd(g):
         # the gradient goes to the first maximum of each window
         idx = a.data[..., :m].reshape(lead + (n_out, kernel)).argmax(axis=-1)
-        gw = np.zeros(lead + (n_out, kernel))
+        gw = np.zeros(lead + (n_out, kernel), dtype=a.data.dtype)
         np.put_along_axis(gw, idx[..., None], g[..., None], axis=-1)
-        gx = np.zeros(a.shape)
+        gx = np.zeros(a.shape, dtype=a.data.dtype)
         gx[..., :m] = gw.reshape(lead + (m,))
         return (gx,)
 
@@ -520,7 +552,7 @@ def _im2col(x: np.ndarray, k: int, stride: int, padding: int,
     n_out = (n + 2 * padding - k) // stride + 1
     if padding:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
-    cols = np.empty((b, cin, k, n_out))
+    cols = np.empty((b, cin, k, n_out), dtype=x.dtype)
     for j in range(k):
         cols[:, :, j] = x[:, :, j:j + stride * (n_out - 1) + 1:stride]
     return cols.reshape(b, groups, cin // groups * k, n_out)
@@ -535,7 +567,7 @@ def _col2im(cols: np.ndarray, shape: tuple, k: int, stride: int,
     cols = cols.reshape(b, cin, k, n_out)
     if k == 1 and stride == 1 and padding == 0:
         return cols.reshape(shape)
-    gx = np.zeros((b, cin, n + 2 * padding))
+    gx = np.zeros((b, cin, n + 2 * padding), dtype=cols.dtype)
     for j in range(k):
         gx[:, :, j:j + stride * (n_out - 1) + 1:stride] += cols[:, :, j]
     return gx[:, :, padding:padding + n]
@@ -566,8 +598,8 @@ def _depthwise_raw(x: np.ndarray, w: np.ndarray, stride: int,
     m = n + 2 * padding
     n_full = m - k + 1
     step = max(1, _DEPTHWISE_BLOCK // (c * m))
-    y = np.empty((b, c, (n_full - 1) // stride + 1))
-    xp = np.zeros((min(step, b), c, m))      # padding columns stay zero
+    y = np.empty((b, c, (n_full - 1) // stride + 1), dtype=x.dtype)
+    xp = np.zeros((min(step, b), c, m), dtype=x.dtype)   # padding stays zero
     yp, tmp = np.empty_like(xp), np.empty_like(xp)
     for lo in range(0, b, step):
         nb = min(step, b - lo)
@@ -600,7 +632,7 @@ def _depthwise_grads(x: np.ndarray, w: np.ndarray, gy: np.ndarray,
     step = max(1, _DEPTHWISE_BLOCK // (c * m))
     gx = np.empty_like(x)
     gw = np.zeros_like(w)
-    xp = np.zeros((min(step, b), c, m))      # padding columns stay zero
+    xp = np.zeros((min(step, b), c, m), dtype=x.dtype)   # padding stays zero
     gp = np.zeros_like(xp)                   # unwritten columns stay zero
     gxp, tmp = np.empty_like(xp), np.empty_like(xp)
     for lo in range(0, b, step):
@@ -652,22 +684,24 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     if cg != cin // groups:
         raise DimensionError(
             f"weight axis 1 is {cg}, expected C_in/groups = {cin // groups}")
-    if bias is not None and _as_tensor(bias).shape != (cout,):
+    bias = None if bias is None else _as_tensor(bias)
+    if bias is not None and bias.shape != (cout,):
         raise DimensionError(
             f"bias shape {bias.shape} != (C_out,) = ({cout},)")
     if n + 2 * padding < k:
         raise DimensionError(
             f"input length {n} + 2*padding {padding} shorter than kernel {k}")
+    xd, wd, bd = _cast(x3, weight, bias)
 
     if groups == cin == cout:
-        y = _depthwise_raw(x3.data, weight.data, stride, padding)
+        y = _depthwise_raw(xd, wd, stride, padding)
 
         def grads(g):
-            return _depthwise_grads(x3.data, weight.data, g, stride, padding)
+            return _depthwise_grads(xd, wd, g, stride, padding)
     else:
         og = cout // groups
-        cols = _im2col(x3.data, k, stride, padding, groups)
-        w2 = weight.data.reshape(groups, og, cg * k)
+        cols = _im2col(xd, k, stride, padding, groups)
+        w2 = wd.reshape(groups, og, cg * k)
         y = (w2 @ cols).reshape(b, cout, cols.shape[-1])
 
         def grads(g):
@@ -681,8 +715,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
 
     parents = (x3, weight)
     if bias is not None:
-        bias = _as_tensor(bias)
-        y += bias.data[:, None]
+        y += bd[:, None]
         parents += (bias,)
 
     def bwd(g):
@@ -710,7 +743,9 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor, state: BnState,
 
     Train mode normalizes by batch statistics and blends them into `state`'s
     arrays in place (weight BN_MOMENTUM), so they stay the objects a module
-    recorded as buffers; eval mode normalizes by the stored statistics.
+    recorded as buffers; eval mode normalizes by the stored statistics, as
+    one per-channel affine map computed in float64 and cast to the op's
+    dtype.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if x.ndim != 3:
@@ -722,16 +757,20 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor, state: BnState,
     if mode not in ("train", "eval"):
         raise ConfigurationError(f"mode must be train or eval, got {mode!r}")
 
+    xd, gd, bd = _cast(x, gamma, beta)
+    dt = xd.dtype
+
     if mode == "eval":
         mu = state.mean.copy()     # a later train forward updates it in place
         inv = 1.0 / np.sqrt(state.var + NORM_EPS)
         # one per-channel affine map: two passes over x instead of four
-        scale = gamma.data * inv
-        y = x.data * scale[:, None]
-        y += (beta.data - mu * scale)[:, None]
+        scale = (gamma.data * inv).astype(dt, copy=False)
+        y = xd * scale[:, None]
+        y += (beta.data - mu * scale).astype(dt, copy=False)[:, None]
 
         def eval_bwd(g):
-            xhat = (x.data - mu[:, None]) * inv[:, None]
+            xhat = xd - mu.astype(dt, copy=False)[:, None]
+            xhat *= inv.astype(dt, copy=False)[:, None]
             return g * scale[:, None], (g * xhat).sum(axis=(0, 2)), g.sum(axis=(0, 2))
 
         return _record(y, (x, gamma, beta), eval_bwd)
@@ -740,8 +779,8 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor, state: BnState,
     if m < 2:
         raise DimensionError(
             f"train-mode batchnorm needs B*N >= 2, got B={b} N={n}")
-    mu = x.data.mean(axis=(0, 2))
-    xhat = x.data - mu[:, None]            # centred here, scaled below
+    mu = xd.mean(axis=(0, 2))
+    xhat = xd - mu[:, None]                # centred here, scaled below
     var = np.einsum("bcn,bcn->c", xhat, xhat) / m
     state.mean *= 1.0 - BN_MOMENTUM
     state.mean += BN_MOMENTUM * mu
@@ -749,8 +788,8 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor, state: BnState,
     state.var += BN_MOMENTUM * var * m / max(m - 1, 1)
     inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat *= inv[:, None]
-    y = xhat * gamma.data[:, None]
-    y += beta.data[:, None]
+    y = xhat * gd[:, None]
+    y += bd[:, None]
 
     def bwd(g):
         # closed form of dL/dx: with dxhat = gamma * g, sum(dxhat) is
@@ -760,7 +799,7 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor, state: BnState,
         dx = xhat * (-dg / m)[:, None]
         dx += g
         dx -= (db / m)[:, None]
-        dx *= (gamma.data * inv)[:, None]
+        dx *= (gd * inv)[:, None]
         return dx, dg, db
 
     return _record(y, (x, gamma, beta), bwd)

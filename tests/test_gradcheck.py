@@ -65,8 +65,17 @@ def test_composite_chain_vs_finite_differences():
     assert err <= 1e-5
 
 
-def test_full_suite_within_tolerance():
+def test_full_suite_within_tolerance(monkeypatch):
+    dtypes = set()
+    record = T._record
+
+    def spy(data, parents, backward_fn):
+        dtypes.add(np.asarray(data).dtype)
+        return record(data, parents, backward_fn)
+
+    monkeypatch.setattr(T, "_record", spy)
     results = standard_suite(seed=0)
+    assert dtypes == {np.dtype(np.float64)}     # the tolerances are float64's
     assert tuple(results) == SUITE_NAMES
     worst = max(results.values())
     assert worst <= 1e-4, {k: v for k, v in results.items() if v > 1e-4}

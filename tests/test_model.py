@@ -148,14 +148,16 @@ class TestEvalBlocks:
 
     def test_pooled_logits_bit_identical_to_one_thread(self, monkeypatch):
         net = build(SMALL, seed=0)
-        x = Tensor(self._batch(65))
-        logits = []
-        for cpus in ({0}, {0, 1}, {0, 1, 2, 3}):
-            self._cpus(monkeypatch, cpus)
-            with T.no_grad():
-                logits.append(net.forward(x).data)
-        for pooled in logits[1:]:
-            assert np.array_equal(pooled, logits[0])
+        for dtype in (np.float64, np.float32):
+            x = Tensor(self._batch(65).astype(dtype))
+            logits = []
+            for cpus in ({0}, {0, 1}, {0, 1, 2, 3}):
+                self._cpus(monkeypatch, cpus)
+                with T.no_grad():
+                    logits.append(net.forward(x).data)
+            assert logits[0].dtype == dtype
+            for pooled in logits[1:]:
+                assert np.array_equal(pooled, logits[0])
 
     def test_pool_workers_record_no_graph(self, monkeypatch):
         self._cpus(monkeypatch, {0, 1})
@@ -216,6 +218,58 @@ class TestEvalBlocks:
         monkeypatch.setattr(Network, "_logits", failing)
         with T.no_grad(), pytest.raises(FloatingPointError, match="block 2"):
             build(SMALL, seed=0).forward(Tensor(x))
+
+
+class TestDtypes:
+    """Eval computes in the input's dtype; train mode computes in float64."""
+
+    # SHA-256 of the default-config seed-0 logits of `_batch()` in float64,
+    # as computed before the engine kept float32 input in float32
+    FLOAT64_LOGITS = {
+        "ld-rpmnet": "0897d621a6b875834bcf842e2a00d797bd84bcec5b6f1ab58cf2ea6162b73a30",
+        "cnt": "98a475742619914910d9f4e32909a7ae8c6a3421b2d029b2834ff4c7aaaabee7",
+    }
+
+    @staticmethod
+    def _batch():
+        rng = np.random.Generator(np.random.Philox(key=70))
+        return 0.3 * rng.standard_normal((5, 1, ModelConfig().input_length))
+
+    @staticmethod
+    def _logits(net, x):
+        with T.no_grad():
+            return net.forward(Tensor(x)).data
+
+    @pytest.mark.parametrize("preset", sorted(FLOAT64_LOGITS))
+    def test_float64_logits_unchanged(self, preset):
+        logits = self._logits(build_preset(preset, seed=0), self._batch())
+        assert logits.dtype == np.float64
+        assert hashlib.sha256(logits.tobytes()).hexdigest() == self.FLOAT64_LOGITS[preset]
+
+    @pytest.mark.parametrize("preset", sorted(FLOAT64_LOGITS))
+    def test_float32_logits_near_float64(self, preset):
+        net = build_preset(preset, seed=0)
+        x = self._batch().astype(np.float32)
+        got = self._logits(net, x)
+        expected = self._logits(net, x.astype(np.float64))
+        assert got.dtype == np.float32
+        assert np.abs(got - expected).max() <= 1e-5 * np.abs(expected).max()
+        assert np.array_equal(got.argmax(axis=1), expected.argmax(axis=1))
+
+    def test_train_mode_casts_float32_input_to_float64(self):
+        rng = np.random.Generator(np.random.Philox(key=71))
+        x = rng.standard_normal((4, 1, SMALL.input_length)).astype(np.float32)
+        runs = []
+        for dtype in (np.float32, np.float64):
+            net = build(SMALL, seed=0)
+            loss = T.cross_entropy(net.forward(Tensor(x.astype(dtype)), mode="train"),
+                                   [1, 2, 3, 4])
+            loss.backward()
+            runs.append([loss.data] + [p.grad for _, p in net.parameters()]
+                        + [b for _, b in net.buffers()])
+        for got, expected in zip(*runs):
+            assert got.dtype == np.float64
+            assert np.array_equal(got, expected)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",

@@ -579,6 +579,111 @@ class TestMiscOps:
             assert np.isfinite(out.data).all()
 
 
+def _eval_state(channels):
+    state = BnState(channels)
+    state.mean[:] = np.linspace(-1.0, 1.0, channels)
+    state.var[:] = np.linspace(0.5, 2.0, channels)
+    return state
+
+
+# One call per op, or per path of an op: `act` makes an activation in the
+# dtype under test and `par` a float64 parameter, both needing a gradient.
+_DTYPE_CASES = {
+    "add": lambda act, par: T.add(act(2, 3), par(3)),
+    "mul": lambda act, par: T.mul(act(2, 3), par(3)),
+    "matmul": lambda act, par: T.matmul(act(2, 3), par(3, 4)),
+    "reshape": lambda act, par: T.reshape(act(2, 3), (3, 2)),
+    "transpose": lambda act, par: T.transpose(act(2, 3), (1, 0)),
+    "concat": lambda act, par: T.concat([act(2, 3), par(2, 2)], axis=1),
+    "tsum": lambda act, par: T.tsum(act(2, 3), axis=1),
+    "mean": lambda act, par: T.mean(act(2, 3), axis=0),
+    "max_pool1d": lambda act, par: T.max_pool1d(act(2, 3, 8), 2),
+    "softmax": lambda act, par: T.softmax(act(2, 3)),
+    "gelu": lambda act, par: T.gelu(act(2, 3)),
+    "layer_norm": lambda act, par: T.layer_norm(act(2, 5), par(5), par(5)),
+    "linear": lambda act, par: T.linear(act(2, 5), par(3, 5), par(3)),
+    "conv1d-gemm": lambda act, par: T.conv1d(act(2, 3, 9), par(4, 3, 3), par(4),
+                                             stride=2, padding=1),
+    "conv1d-pointwise": lambda act, par: T.conv1d(act(2, 3, 9), par(4, 3, 1), par(4)),
+    "conv1d-depthwise": lambda act, par: T.conv1d(act(2, 3, 9), par(3, 1, 3),
+                                                  padding=1, groups=3),
+    "batchnorm1d-train": lambda act, par: T.batchnorm1d(
+        act(2, 3, 5), par(3), par(3), BnState(3), mode="train"),
+    "batchnorm1d-eval": lambda act, par: T.batchnorm1d(
+        act(2, 3, 5), par(3), par(3), _eval_state(3), mode="eval"),
+    "cross_entropy": lambda act, par: T.cross_entropy(act(3, 4), [1, 4, 2]),
+}
+
+_NOT_OPS = {"Tensor", "DimensionError", "ConfigurationError", "TapeError",
+            "no_grad", "grad_enabled", "backward", "tape_len",
+            "tape_node_sizes", "BnState"}
+
+
+class TestDtypeRule:
+    """An op computes in float32 if any operand is float32, else in float64;
+    a gradient takes its tensor's dtype."""
+
+    def test_every_op_has_a_case(self):
+        ops = {name.split("-")[0] for name in _DTYPE_CASES}
+        assert ops == set(T.__all__) - _NOT_OPS
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("case", sorted(_DTYPE_CASES))
+    def test_output_and_gradients(self, case, dtype):
+        rng = np.random.Generator(np.random.Philox(key=17))
+        acts, params = [], []
+
+        def make(out, shape, dt):
+            out.append(Tensor(rng.standard_normal(shape).astype(dt),
+                              requires_grad=True))
+            return out[-1]
+
+        y = _DTYPE_CASES[case](lambda *s: make(acts, s, dtype),
+                               lambda *s: make(params, s, np.float64))
+        assert y.data.dtype == dtype
+        # what the op's backward returns, before `backward` copies a first
+        # gradient into its tensor's dtype
+        seq, parents, fn = y._node
+        returned = []
+
+        def spy(g):
+            grads = fn(g)
+            returned.extend(gr.dtype for gr in grads if gr is not None)
+            return grads
+
+        y._node = (seq, parents, spy)
+        T.backward(T.tsum(T.mul(y, Tensor(rng.standard_normal(y.shape)))))
+        assert returned and set(returned) == {np.dtype(dtype)}
+        assert [a.grad.dtype for a in acts] == [dtype] * len(acts)
+        assert [p.grad.dtype for p in params] == [np.float64] * len(params)
+
+    def test_float32_depthwise_backward_peaks_at_half_the_float64_bytes(self):
+        # its scratch rows return no array, so only their size shows a dtype
+        peaks = []
+        for dtype in (np.float64, np.float32):
+            rng = np.random.Generator(np.random.Philox(key=18))
+            x = Tensor(rng.standard_normal((4, 8, 4096)).astype(dtype),
+                       requires_grad=True)
+            w = Tensor(rng.standard_normal((8, 1, 7)), requires_grad=True)
+            loss = T.tsum(T.conv1d(x, w, padding=3, groups=8))
+            tracemalloc.start()
+            try:
+                loss.backward()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 0.55 * peaks[0], peaks
+
+    def test_tensor_keeps_floats_and_converts_the_rest_to_float64(self):
+        x32, x64 = np.ones(3, np.float32), np.ones(3)
+        assert Tensor(x32).data is x32 and Tensor(x64).data is x64
+        for data in (np.arange(3), [1, 2], 2, np.ones(2, np.float16),
+                     np.ones(2, bool)):
+            assert Tensor(data).data.dtype == np.float64
+        assert T.mul(Tensor(x32), 2).data.dtype == np.float32
+        assert T.add(Tensor(np.arange(3)), 1).data.dtype == np.float64
+
+
 def test_tape_node_sizes_while_another_thread_records():
     x = Tensor(np.ones(3), requires_grad=True)
     stop = threading.Event()
