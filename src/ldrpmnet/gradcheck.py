@@ -77,7 +77,8 @@ SUITE_NAMES = (
     "add", "mul", "matmul", "concat", "mean", "softmax", "gelu", "layer_norm",
     "linear", "max_pool1d", "conv1d", "conv1d_depthwise", "batchnorm1d",
     "cross_entropy", "mdsc_block", "standard_block", "bsa_block",
-    "mhsa_block", "full_network",
+    "mhsa_block", "full_network", "conv1d_strided_depthwise",
+    "conv1d_grouped",
 )
 
 
@@ -152,5 +153,13 @@ def standard_suite(seed: int = 0, only: str | None = None) -> dict[str, float]:
     net = build(cfg, seed=seed)
     check("full_network", lambda x, *ps: net.forward(x, mode="train"),
           [_rand(rng, (2, 1, 64))] + [p for _, p in net.parameters()])
+
+    # last, so every check above draws the inputs it always drew
+    check("conv1d_strided_depthwise",
+          lambda x, w: T.conv1d(x, w, stride=2, padding=1, groups=3),
+          [_rand(rng, (2, 3, 11)), _rand(rng, (3, 1, 3))])
+    check("conv1d_grouped",
+          lambda x, w, b: T.conv1d(x, w, b, stride=2, groups=2),
+          [_rand(rng, (2, 4, 11)), _rand(rng, (6, 2, 3)), _rand(rng, (6,))])
 
     return results

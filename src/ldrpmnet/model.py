@@ -265,9 +265,6 @@ class Network(Module):
     def snapshot(self) -> dict:
         return {n: a.copy() for n, a in self.state_arrays()}
 
-    def restore(self, snap: dict) -> None:
-        self.load_state_arrays(snap)
-
 
 def build(config: ModelConfig, seed: int = 0) -> Network:
     return Network(config, seed)

@@ -21,11 +21,12 @@ the primitives in this module.  Design points:
   malloc thresholds and single malloc arena, which importing the module fixes
   on glibc (see `_keep_freed_heap`).
 * The layer ops add their own bias: one graph node per conv or linear layer.
-* conv1d has two paths.  When groups == C_in == C_out (every MDSC branch),
-  each batch block is copied into zero-padded contiguous rows and the k
-  taps are shifted multiply-adds over the flattened rows, forward and
-  backward.  Every other grouping is a GEMM per group over im2col columns;
-  a pointwise conv's columns are the input itself, without a copy.
+* conv1d has one forward kernel per conv kind, `_conv`, and computes its
+  input gradient with it as a transposed conv.  When groups == C_in == C_out
+  (every MDSC branch), each batch block is copied into zero-padded
+  contiguous rows and the k taps are shifted multiply-adds over the
+  flattened rows.  Every other grouping is a GEMM per group over im2col
+  columns; a pointwise conv's columns are the input itself, without a copy.
 """
 
 from __future__ import annotations
@@ -558,21 +559,6 @@ def _im2col(x: np.ndarray, k: int, stride: int, padding: int,
     return cols.reshape(b, groups, cin // groups * k, n_out)
 
 
-def _col2im(cols: np.ndarray, shape: tuple, k: int, stride: int,
-            padding: int) -> np.ndarray:
-    """Adjoint of `_im2col`: k strided adds of the columns into zeroed
-    padded rows of an input of `shape`, with the padding then cut off."""
-    b, cin, n = shape
-    n_out = cols.shape[-1]
-    cols = cols.reshape(b, cin, k, n_out)
-    if k == 1 and stride == 1 and padding == 0:
-        return cols.reshape(shape)
-    gx = np.zeros((b, cin, n + 2 * padding), dtype=cols.dtype)
-    for j in range(k):
-        gx[:, :, j:j + stride * (n_out - 1) + 1:stride] += cols[:, :, j]
-    return gx[:, :, padding:padding + n]
-
-
 # Elements of one batch block of padded rows on the depthwise path
 # (256 KiB per operand), so that the block's padded input, output and
 # scratch stay in a per-core L2 cache through the k passes over them.  On a
@@ -592,6 +578,8 @@ def _depthwise_raw(x: np.ndarray, w: np.ndarray, stride: int,
     over contiguous memory.  Output column t < m - k + 1 only reads columns
     t..t+k-1 of its own row; the last k - 1 columns of each row mix in the
     next row and are dropped.  A stride keeps every stride-th column.
+    `conv1d` runs it for the depthwise forward and, with the taps reversed,
+    for the depthwise input gradient.
     """
     b, c, n = x.shape
     k = w.shape[2]
@@ -614,42 +602,45 @@ def _depthwise_raw(x: np.ndarray, w: np.ndarray, stride: int,
     return y
 
 
-def _depthwise_grads(x: np.ndarray, w: np.ndarray, gy: np.ndarray,
-                     stride: int, padding: int):
-    """Input and weight gradients of `_depthwise_raw` on the same padded rows.
+def _depthwise_weight_grad(x: np.ndarray, gy: np.ndarray, k: int,
+                           stride: int, padding: int) -> np.ndarray:
+    """Weight gradient [C, 1, k] of `_depthwise_raw` for output gradient gy.
 
-    The output gradient goes into zeroed rows of length m at the columns the
-    forward kept, and tap j adds it, scaled by w[:, 0, j], shifted right by
-    j along the flattened rows; a shift reaches into the previous row only
-    through its last k - 1 columns, which hold zeros.  The weight gradient
-    of tap j is one per-channel dot product of the output gradient with the
-    padded input shifted by j.
+    Each batch block is copied into zero-padded rows, as in the forward, and
+    tap j is one per-channel dot product of gy with the padded input shifted
+    by j, read at every stride-th column.
     """
     b, c, n = x.shape
-    k = w.shape[2]
     m = n + 2 * padding
     n_full = m - k + 1
     step = max(1, _DEPTHWISE_BLOCK // (c * m))
-    gx = np.empty_like(x)
-    gw = np.zeros_like(w)
+    gw = np.zeros((c, 1, k), dtype=x.dtype)
     xp = np.zeros((min(step, b), c, m), dtype=x.dtype)   # padding stays zero
-    gp = np.zeros_like(xp)                   # unwritten columns stay zero
-    gxp, tmp = np.empty_like(xp), np.empty_like(xp)
     for lo in range(0, b, step):
         nb = min(step, b - lo)
-        xb, gb, gxb, tb = xp[:nb], gp[:nb], gxp[:nb], tmp[:nb]
+        xb, gb = xp[:nb], gy[lo:lo + nb]
         xb[:, :, padding:padding + n] = x[lo:lo + nb]
-        gb[:, :, :n_full:stride] = gy[lo:lo + nb]
-        gxf, tf = gxb.reshape(-1), tb.reshape(-1)
-        np.multiply(gb, w[:, 0, 0, None], out=gxb)
-        for j in range(1, k):
-            np.multiply(gb, w[:, 0, j, None], out=tb)
-            gxf[j:] += tf[:tf.size - j]
-        gx[lo:lo + nb] = gxb[:, :, padding:padding + n]
         for j in range(k):
-            gw[:, 0, j] += np.einsum("bcn,bcn->c", gb[:, :, :n_full],
-                                     xb[:, :, j:j + n_full])
-    return gx, gw
+            gw[:, 0, j] += np.einsum("bcn,bcn->c", gb,
+                                     xb[:, :, j:j + n_full:stride])
+    return gw
+
+
+def _conv(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
+          groups: int):
+    """Forward kernel of a grouped conv: the output and the `_im2col` columns.
+
+    Depthwise (groups == C_in == C_out) runs `_depthwise_raw` and has no
+    columns (None); every other grouping multiplies the grouped weight with
+    the columns.  `conv1d` runs it for its forward and its input gradient.
+    """
+    b, cin, n = x.shape
+    cout, cg, k = w.shape
+    if groups == cin == cout:
+        return _depthwise_raw(x, w, stride, padding), None
+    cols = _im2col(x, k, stride, padding, groups)
+    y = w.reshape(groups, cout // groups, cg * k) @ cols
+    return y.reshape(b, cout, cols.shape[-1]), cols
 
 
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
@@ -657,14 +648,14 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     """Grouped 1-D cross-correlation (no kernel flip).
 
     Accepts [C_in, N] or [B, C_in, N] input; weight is [C_out, C_in/groups, k].
-    Depthwise (groups == C_in == C_out): each batch block of the input is
-    copied into zero-padded rows; the forward adds the rows, scaled by each
-    per-channel tap, shifted by the tap along the flattened block, and the
-    backward shifts the output gradient back the same way.  Any other
-    grouping (C_out a multiple of C_in included) multiplies the grouped
-    weight with the `_im2col` columns; its backward scatters the column
-    gradient back with `_col2im`, unless the input needs no gradient.  The
-    bias is added in place into the output, so a layer is one graph node.
+    The forward is `_conv`.  The input gradient, skipped when the input
+    needs none, is `_conv` run as a transposed conv: on the output gradient
+    spread back to stride 1 (zeros between the kept columns), with each
+    group's weight transposed to [C_in/groups, C_out/groups, k] and its taps
+    reversed, at padding k - 1, keeping columns [padding, padding + N).  The
+    weight gradient multiplies the output gradient with the forward's
+    `_im2col` columns, or on the depthwise path is `_depthwise_weight_grad`.
+    The bias is added in place into the output, so a layer is one graph node.
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
     squeeze = x.ndim == 2
@@ -692,34 +683,30 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
         raise DimensionError(
             f"input length {n} + 2*padding {padding} shorter than kernel {k}")
     xd, wd, bd = _cast(x3, weight, bias)
-
-    if groups == cin == cout:
-        y = _depthwise_raw(xd, wd, stride, padding)
-
-        def grads(g):
-            return _depthwise_grads(xd, wd, g, stride, padding)
-    else:
-        og = cout // groups
-        cols = _im2col(xd, k, stride, padding, groups)
-        w2 = wd.reshape(groups, og, cg * k)
-        y = (w2 @ cols).reshape(b, cout, cols.shape[-1])
-
-        def grads(g):
-            gg = g.reshape(b, groups, og, g.shape[-1])
-            gw = (gg @ np.swapaxes(cols, -1, -2)).sum(axis=0)
-            gx = None
-            if x3.requires_grad:     # the stem's waveform input needs none
-                gx = _col2im(np.swapaxes(w2, -1, -2) @ gg, x3.shape, k,
-                             stride, padding)
-            return gx, gw.reshape(weight.shape)
-
+    y, cols = _conv(xd, wd, stride, padding, groups)
     parents = (x3, weight)
     if bias is not None:
         y += bd[:, None]
         parents += (bias,)
+    og = cout // groups
 
     def bwd(g):
-        return grads(g) + (None if bias is None else g.sum(axis=(0, 2)),)
+        gx = None
+        if x3.requires_grad:     # the stem's waveform input needs none
+            gs = g               # the output gradient at stride 1
+            if stride > 1:
+                gs = np.zeros((b, cout, n + 2 * padding - k + 1), dtype=g.dtype)
+                gs[:, :, ::stride] = g
+            wt = wd.reshape(groups, og, cg, k).swapaxes(1, 2).reshape(cin, og, k)
+            gx, _ = _conv(gs, wt[:, :, ::-1], 1, k - 1, groups)
+            gx = gx[:, :, padding:padding + n]
+        if cols is None:
+            gw = _depthwise_weight_grad(xd, g, k, stride, padding)
+        else:
+            gg = g.reshape(b, groups, og, g.shape[-1])
+            gw = (gg @ np.swapaxes(cols, -1, -2)).sum(axis=0)
+        grads = (gx, gw.reshape(weight.shape))
+        return grads + (None if bias is None else g.sum(axis=(0, 2)),)
 
     y = _record(y, parents, bwd)
     return reshape(y, y.shape[1:]) if squeeze else y
@@ -825,10 +812,11 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     idx = labels.astype(np.int64) - 1
     z = logits.data
     zmax = z.max(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
-    picked = z[np.arange(b), idx]
     p = np.exp(z - zmax)
-    p /= p.sum(axis=1, keepdims=True)
+    total = p.sum(axis=1, keepdims=True)
+    lse = zmax[:, 0] + np.log(total[:, 0])
+    picked = z[np.arange(b), idx]
+    p /= total
 
     def bwd(g):
         gz = p.copy()

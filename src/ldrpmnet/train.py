@@ -179,7 +179,7 @@ def train(net: Network, sample_set: SampleSet, config: TrainConfig):
         if val_acc > best_acc:
             best_acc = val_acc
             best_snap = net.snapshot()
-    net.restore(best_snap)
+    net.load_state_arrays(best_snap)
     return net, trace
 
 

@@ -34,6 +34,59 @@ def naive_conv1d(x, w, bias=None, stride=1, padding=1, groups=1):
     return y
 
 
+def naive_conv1d_grads(x, w, gy, stride=1, padding=1, groups=1):
+    """Loop adjoint of `naive_conv1d`: input and weight gradients of
+    sum(gy * conv(x, w)) for one sample, each output tap added where it read."""
+    cin, n = x.shape
+    cout, cg, k = w.shape
+    xp = np.zeros((cin, n + 2 * padding))
+    xp[:, padding:padding + n] = x
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    og = cout // groups
+    for o in range(cout):
+        g = o // og
+        for t in range(gy.shape[1]):
+            for c in range(cg):
+                for j in range(k):
+                    gxp[g * cg + c, t * stride + j] += w[o, c, j] * gy[o, t]
+                    gw[o, c, j] += gy[o, t] * xp[g * cg + c, t * stride + j]
+    return gxp[:, padding:padding + n], gw
+
+
+class TestConv1dGradientOracle:
+    # (C_in, C_out, groups): dense, grouped, depthwise, channel multiplier
+    @pytest.mark.parametrize("cin, cout, groups", [
+        (3, 4, 1), (4, 6, 2), (3, 3, 3), (3, 6, 3),
+    ], ids=["dense", "grouped", "depthwise", "multiplier"])
+    @pytest.mark.parametrize("block_samples", [None, 1])
+    def test_grads_match_loop_adjoint(self, monkeypatch, cin, cout, groups,
+                                      block_samples):
+        if block_samples is not None:
+            monkeypatch.setattr(T, "_DEPTHWISE_BLOCK", block_samples)
+        rng = np.random.Generator(np.random.Philox(key=16))
+        for k in (1, 2, 3, 5):
+            for stride in (1, 2, 3):
+                for pad in range(k + 1):
+                    n = int(rng.integers(max(1, k - 2 * pad), 13))
+                    n_out = (n + 2 * pad - k) // stride + 1
+                    x = rng.standard_normal((2, cin, n))
+                    w = rng.standard_normal((cout, cin // groups, k))
+                    gy = rng.standard_normal((2, cout, n_out))
+                    xt = Tensor(x, requires_grad=True)
+                    wt = Tensor(w, requires_grad=True)
+                    y = T.conv1d(xt, wt, stride=stride, padding=pad,
+                                 groups=groups)
+                    T.backward(T.tsum(T.mul(y, Tensor(gy))))
+                    pairs = [naive_conv1d_grads(x[i], w, gy[i], stride, pad,
+                                                groups) for i in range(2)]
+                    case = f"k={k} stride={stride} padding={pad} n={n}"
+                    npt.assert_allclose(xt.grad, [gx for gx, _ in pairs],
+                                        rtol=0, atol=1e-12, err_msg=case)
+                    npt.assert_allclose(wt.grad, sum(gw for _, gw in pairs),
+                                        rtol=0, atol=1e-12, err_msg=case)
+
+
 class TestConv1d:
     def test_identity_kernel(self):
         out = T.conv1d(Tensor([[1.0, 2, 3, 4]]), Tensor([[[0.0, 1, 0]]]),
@@ -191,27 +244,35 @@ class TestConv1d:
                             atol=1e-12)
 
     def test_input_without_grad_skips_its_gradient(self, monkeypatch):
+        # the input gradient is the forward kernel `_conv` run on the output
+        # gradient, so a spy on `_conv` set between forward and backward
+        # catches it; one GEMM case (the stem's shape) and one depthwise case
         rng = np.random.Generator(np.random.Philox(key=15))
-        x = rng.standard_normal((3, 1, 40))
-        w = rng.standard_normal((4, 1, 7))
-        gy = rng.standard_normal((3, 4, 20))
-
-        def grads(x_needs_grad):
-            xt = Tensor(x, requires_grad=x_needs_grad)
-            wt = Tensor(w, requires_grad=True)
-            y = T.conv1d(xt, wt, stride=2, padding=3)
-            T.backward(T.tsum(T.mul(y, Tensor(gy))))
-            return xt.grad, wt.grad
-
-        gx, gw = grads(True)
 
         def fail(*args):
             raise AssertionError("input gradient computed for a constant input")
 
-        monkeypatch.setattr(T, "_col2im", fail)
-        gx_none, gw_alone = grads(False)
-        assert gx is not None and gx_none is None
-        npt.assert_array_equal(gw_alone, gw)
+        for x_shape, w_shape, y_shape, kw in (
+                ((3, 1, 40), (4, 1, 7), (3, 4, 20), dict(stride=2, padding=3)),
+                ((3, 4, 40), (4, 1, 5), (3, 4, 40), dict(padding=2, groups=4))):
+            x = rng.standard_normal(x_shape)
+            w = rng.standard_normal(w_shape)
+            gy = rng.standard_normal(y_shape)
+
+            def grads(x_needs_grad):
+                xt = Tensor(x, requires_grad=x_needs_grad)
+                wt = Tensor(w, requires_grad=True)
+                y = T.conv1d(xt, wt, **kw)
+                if not x_needs_grad:
+                    monkeypatch.setattr(T, "_conv", fail)
+                T.backward(T.tsum(T.mul(y, Tensor(gy))))
+                monkeypatch.undo()
+                return xt.grad, wt.grad
+
+            gx, gw = grads(True)
+            gx_none, gw_alone = grads(False)
+            assert gx is not None and gx_none is None
+            npt.assert_array_equal(gw_alone, gw)
 
     def test_bad_groups(self):
         with pytest.raises(T.ConfigurationError, match="groups"):
