@@ -277,6 +277,9 @@ def cli_dispatch(argv) -> int:
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:    # e.g. a config or checkpoint naming huge widths
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -11,15 +11,19 @@ the primitives in this module.  Design points:
   tensor's dtype, so float64 parameters keep float64 gradients.  Float64
   inputs run exactly as they always have and keep gradient-check
   tolerances tight; the float32 corpus runs as it is, at half the bytes.
-* Each op output that needs a gradient keeps its graph node (creation number,
-  parents, backward function); backward runs the nodes reachable from the
-  loss newest first and detaches each as it runs, so the graph is freed as
-  backward passes it and a train step's peak memory is the end of its
-  forward.
+* An op output that needs a gradient points at its graph node (`_Node`).
+  A node holds its backward function and, for each operand, the operand's
+  node or a leaf tensor, never an op output; each backward function keeps
+  only the arrays it reads (gelu its derivative, max_pool1d the tap of each
+  window's first maximum).  An output's data is then freed once the caller
+  lets it go, unless a backward function reads it.  Backward runs the nodes
+  reachable from the loss newest first and detaches each as it runs, so the
+  graph is freed as backward passes it and a train step's peak memory is
+  the end of its forward.
 * Tensors are value-semantic and grad mode is per thread.  Shared state: the
-  node counter, a weak set of the tensors holding a node, and the process's
-  malloc thresholds and single malloc arena, which importing the module fixes
-  on glibc (see `_keep_freed_heap`).
+  node counter, a weak set of the nodes backward has not run, and the
+  process's malloc thresholds and single malloc arena, which importing the
+  module fixes on glibc (see `_keep_freed_heap`).
 * The layer ops add their own bias: one graph node per conv or linear layer.
 * conv1d has one forward kernel per conv kind, `_conv`, and computes its
   input gradient with it as a transposed conv.  When groups == C_in == C_out
@@ -131,48 +135,82 @@ def grad_enabled() -> bool:
 
 
 def tape_len() -> int:
-    """Number of live tensors, in any thread, that still hold a graph node."""
+    """Number of live graph nodes, in any thread, that backward has not run."""
     return len(_RECORDED)
 
 
 def tape_node_sizes() -> list[int]:
-    """Element counts of the live tensors that still hold a graph node.
+    """Output element counts of the live graph nodes that backward has not run.
 
-    Reads a copy of the set's weak references, taken in one C call, so other
-    threads may record or free nodes meanwhile.
+    A node keeps its output's element count, not its output: the output's
+    data may already be freed.  Reads a copy of the set's weak references,
+    taken in one C call, so other threads may record or free nodes meanwhile.
     """
     live = (ref() for ref in list(_RECORDED.data))
-    return [t.data.size for t in live if t is not None]
+    return [node.size for node in live if node is not None]
+
+
+class _Node:
+    """One recorded op: its backward function and where its results go.
+
+    `parents` holds, for each operand, the operand's node, the operand
+    itself if it is a leaf that needs a gradient, or None.  No op output is
+    held, so its data is freed once the caller and the backward functions
+    that read it let it go.  The output's gradient accumulates in `grad`, in
+    the output's `dtype`; `size` is the output's element count.
+    """
+
+    __slots__ = ("seq", "parents", "fn", "grad", "dtype", "size", "__weakref__")
+
+    def __init__(self, data: np.ndarray, parents, fn):
+        self.seq = next(_SEQ)
+        self.parents = tuple(_edge(p) for p in parents)
+        self.fn = fn               # None once backward has run the node
+        self.grad = None
+        self.dtype = data.dtype
+        self.size = data.size
+
+
+def _edge(p: "Tensor"):
+    """Where a node sends an operand's gradient: the operand's node, or the
+    operand itself if it is a leaf needing one (a tensor whose node backward
+    has run is a leaf again), else None."""
+    if p._node is not None and p._node.fn is not None:
+        return p._node
+    return p if p.requires_grad else None
+
+
+def _recording(*operands: "Tensor") -> bool:
+    """Whether an op on `operands` records a node in this thread."""
+    return _GRAD_MODE.enabled and any(p.requires_grad for p in operands)
 
 
 def _record(data, parents, backward_fn) -> "Tensor":
     """Op output `data` as a tensor, with a node if a parent needs a gradient."""
     out = Tensor(data)
-    if _GRAD_MODE.enabled and any(p.requires_grad for p in parents):
+    if _recording(*parents):
         out.requires_grad = True
-        out._node = (next(_SEQ), tuple(parents), backward_fn)
-        _RECORDED.add(out)
+        out._node = _Node(out.data, parents, backward_fn)
+        _RECORDED.add(out._node)
     return out
 
 
-def _detach(out: "Tensor") -> None:
-    out._node = None
-    out.grad = None
-    _RECORDED.discard(out)
+def _detach(node: _Node) -> None:
+    node.parents = node.fn = node.grad = None
+    _RECORDED.discard(node)
 
 
-def _pass_grads(node, grad: np.ndarray) -> None:
-    """Run one node's backward function and add its results to the parents.
+def _pass_grads(parents, fn, grad: np.ndarray) -> None:
+    """Run one backward function and add its results to the parents.
 
     A parent's first gradient is copied into the parent's dtype.  Only this
     frame holds the returned gradients, so they are freed when it returns."""
-    _, parents, fn = node
     for p, g in zip(parents, fn(grad)):
-        if g is None or not p.requires_grad:
+        if g is None or p is None:
             continue
         if p.grad is None:
             # a copy: g may be a view or shared
-            p.grad = np.array(g, dtype=p.data.dtype)
+            p.grad = np.array(g, dtype=p.dtype)
         else:
             p.grad += g
 
@@ -181,40 +219,40 @@ def backward(loss: "Tensor") -> None:
     """Accumulate dLoss/dLeaf into leaf .grad over the graph behind `loss`.
 
     The nodes reachable from `loss` run newest first, so each runs after all
-    its consumers.  Each is detached as it runs: its saved arrays and its
-    gradient are freed before the next node runs, so a train step's peak
-    memory is the end of its forward.  A backward function that raises
-    leaves the nodes not yet run detached too.  Calling backward again on
-    the same loss raises (grad accumulation across backward calls is not
-    supported).
+    its consumers.  Each is detached as it runs: its backward function, with
+    the arrays it saved, and its gradient are freed before the next node
+    runs, so a train step's peak memory is the end of its forward.  A
+    backward function that raises leaves the nodes not yet run detached too.
+    Calling backward again on the same loss raises (grad accumulation across
+    backward calls is not supported).
     """
     if loss.data.size != 1:
         raise TapeError(f"loss must be scalar, got shape {loss.shape}")
-    if loss._node is None:
+    root = loss._node
+    if root is None or root.fn is None:
         raise TapeError(
             "loss holds no autodiff tape (consumed by a previous backward, "
             "or loss was computed under no_grad)")
-    nodes, stack = {loss}, [loss]
+    nodes, stack = {root}, [root]
     while stack:
-        for p in stack.pop()._node[1]:
-            if p._node is not None and p not in nodes:
+        for p in stack.pop().parents:
+            if type(p) is _Node and p.fn is not None and p not in nodes:
                 nodes.add(p)
                 stack.append(p)
-    order = sorted(nodes, key=lambda t: t._node[0], reverse=True)
+    order = sorted(nodes, key=lambda node: node.seq, reverse=True)
     del nodes, stack
-    loss.grad = np.ones_like(loss.data)
+    root.grad = np.ones_like(loss.data)
     try:
         for i in range(len(order)):
-            out, order[i] = order[i], None
-            node, grad = out._node, out.grad
-            _detach(out)
-            del out                  # its data lives on only if `node` saved it
+            node, order[i] = order[i], None
+            parents, fn, grad = node.parents, node.fn, node.grad
+            _detach(node)
             if grad is not None:
-                _pass_grads(node, grad)
+                _pass_grads(parents, fn, grad)
     finally:
-        for out in order:
-            if out is not None:
-                _detach(out)
+        for node in order:
+            if node is not None:
+                _detach(node)
 
 
 # --------------------------------------------------------------------------
@@ -237,7 +275,7 @@ class Tensor:
         self.data = data
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._node = None      # (seq, parents, backward_fn) until consumed
+        self._node: _Node | None = None    # set on an op output that records
 
     # -- introspection ----------------------------------------------------
     @property
@@ -251,6 +289,10 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
+
+    @property
+    def dtype(self):
+        return self.data.dtype
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
@@ -315,9 +357,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     ad, bd = _cast(a, b)
+    a_shape, b_shape = a.shape, b.shape
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return _record(ad + bd, (a, b), bwd)
 
@@ -325,9 +368,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     ad, bd = _cast(a, b)
+    a_shape, b_shape = a.shape, b.shape
 
     def bwd(g):
-        return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
+        return _unbroadcast(g * bd, a_shape), _unbroadcast(g * ad, b_shape)
 
     return _record(ad * bd, (a, b), bwd)
 
@@ -341,20 +385,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"matmul inner axes disagree: {a.shape}[-1] != {b.shape}[-2]")
     ad, bd = _cast(a, b)
+    a_shape, b_shape = a.shape, b.shape
 
     def bwd(g):
         ga = np.matmul(g, np.swapaxes(bd, -1, -2))
         gb = np.matmul(np.swapaxes(ad, -1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        return _unbroadcast(ga, a_shape), _unbroadcast(gb, b_shape)
 
     return _record(np.matmul(ad, bd), (a, b), bwd)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     a = _as_tensor(a)
+    a_shape = a.shape
 
     def bwd(g):
-        return (g.reshape(a.shape),)
+        return (g.reshape(a_shape),)
 
     return _record(a.data.reshape(shape), (a,), bwd)
 
@@ -396,10 +442,11 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
+    a_shape = a.shape
 
     def bwd(g):
         g2 = g if keepdims or axis is None else np.expand_dims(g, axis)
-        return (np.broadcast_to(g2, a.shape),)
+        return (np.broadcast_to(g2, a_shape),)
 
     return _record(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
 
@@ -408,10 +455,11 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     y = a.data.mean(axis=axis, keepdims=keepdims)
     n = a.size if axis is None else a.shape[axis]
+    a_shape = a.shape
 
     def bwd(g):
         g2 = g if keepdims or axis is None else np.expand_dims(g, axis)
-        return (np.broadcast_to(g2 / n, a.shape),)
+        return (np.broadcast_to(g2 / n, a_shape),)
 
     return _record(y, (a,), bwd)
 
@@ -421,22 +469,28 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # --------------------------------------------------------------------------
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact GELU x * Phi(x), with Phi the Gaussian CDF (`ndtr`, no tanh)."""
+    """Exact GELU x * Phi(x), with Phi the Gaussian CDF (`ndtr`, no tanh).
+
+    When it records a node, the forward also builds the derivative
+    Phi(x) + x * pdf(x), the one array its backward reads.
+    """
     a = _as_tensor(a)
-    phi = _ndtr(a.data)
+    x = a.data
+    phi = _ndtr(x)
+    dy = None
+    if _recording(a):
+        # phi + x * pdf(x), built in one buffer
+        dy = x * x
+        dy *= -0.5
+        np.exp(dy, out=dy)
+        dy *= x
+        dy *= _INV_SQRT_2PI
+        dy += phi
 
     def bwd(g):
-        # g * (phi + x * pdf(x)), built in one buffer
-        t = a.data * a.data
-        t *= -0.5
-        np.exp(t, out=t)
-        t *= a.data
-        t *= _INV_SQRT_2PI
-        t += phi
-        t *= g
-        return (t,)
+        return (np.multiply(dy, g, out=dy),)
 
-    return _record(a.data * phi, (a,), bwd)
+    return _record(x * phi, (a,), bwd)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -488,14 +542,14 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     xd, wd, bd = _cast(x, weight, bias)
     y = np.matmul(xd, wd.T)
     parents = (x, weight)
-    if bias is not None:
+    if bd is not None:
         y += bd
         parents += (bias,)
 
     def bwd(g):
         g2 = g.reshape(-1, g.shape[-1])
-        gw = g2.T @ xd.reshape(-1, x.shape[-1])
-        return g @ wd, gw, None if bias is None else g2.sum(axis=0)
+        gw = g2.T @ xd.reshape(-1, xd.shape[-1])
+        return g @ wd, gw, None if bd is None else g2.sum(axis=0)
 
     return _record(y, parents, bwd)
 
@@ -507,7 +561,10 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 def max_pool1d(a: Tensor, kernel: int) -> Tensor:
     """Non-overlapping max pooling over the last axis (stride == kernel).
 
-    A trailing remainder shorter than the kernel is dropped.
+    A trailing remainder shorter than the kernel is dropped.  When it
+    records a node, the forward also keeps the tap of each window's first
+    maximum, in the smallest unsigned dtype that holds kernel - 1, and the
+    backward routes each window's gradient to that tap.
     """
     a = _as_tensor(a)
     if kernel < 1:
@@ -516,19 +573,25 @@ def max_pool1d(a: Tensor, kernel: int) -> Tensor:
     n_out = n // kernel
     if n_out < 1:
         raise DimensionError(f"pool kernel {kernel} exceeds input length {n}")
-    lead = a.shape[:-1]
     m = n_out * kernel
-    y = a.data[..., 0:m:kernel].copy()
+    x = a.data
+    y = x[..., 0:m:kernel].copy()
+    taps = None
+    if _recording(a):
+        taps = np.zeros(y.shape, np.min_scalar_type(kernel - 1))
     for j in range(1, kernel):
-        np.maximum(y, a.data[..., j:m:kernel], out=y)
+        xj = x[..., j:m:kernel]
+        if taps is not None:
+            # tap j beats the taps before it only where it is strictly
+            # greater, so the largest j that did is the first maximum's tap
+            np.maximum(taps, np.multiply(xj > y, j, dtype=taps.dtype), out=taps)
+        np.maximum(y, xj, out=y)
+    a_shape = a.shape
 
     def bwd(g):
-        # the gradient goes to the first maximum of each window
-        idx = a.data[..., :m].reshape(lead + (n_out, kernel)).argmax(axis=-1)
-        gw = np.zeros(lead + (n_out, kernel), dtype=a.data.dtype)
-        np.put_along_axis(gw, idx[..., None], g[..., None], axis=-1)
-        gx = np.zeros(a.shape, dtype=a.data.dtype)
-        gx[..., :m] = gw.reshape(lead + (m,))
+        gx = np.zeros(a_shape, dtype=g.dtype)
+        windows = gx[..., :m].reshape(g.shape + (kernel,))     # a view
+        np.put_along_axis(windows, taps[..., None], g[..., None], axis=-1)
         return (gx,)
 
     return _record(y, (a,), bwd)
@@ -685,14 +748,16 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     xd, wd, bd = _cast(x3, weight, bias)
     y, cols = _conv(xd, wd, stride, padding, groups)
     parents = (x3, weight)
-    if bias is not None:
+    if bd is not None:
         y += bd[:, None]
         parents += (bias,)
     og = cout // groups
+    need_gx = x3.requires_grad   # the stem's waveform input needs none
+    x_depthwise = xd if cols is None else None   # read by the depthwise gw only
 
     def bwd(g):
         gx = None
-        if x3.requires_grad:     # the stem's waveform input needs none
+        if need_gx:
             gs = g               # the output gradient at stride 1
             if stride > 1:
                 gs = np.zeros((b, cout, n + 2 * padding - k + 1), dtype=g.dtype)
@@ -701,12 +766,12 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
             gx, _ = _conv(gs, wt[:, :, ::-1], 1, k - 1, groups)
             gx = gx[:, :, padding:padding + n]
         if cols is None:
-            gw = _depthwise_weight_grad(xd, g, k, stride, padding)
+            gw = _depthwise_weight_grad(x_depthwise, g, k, stride, padding)
         else:
             gg = g.reshape(b, groups, og, g.shape[-1])
             gw = (gg @ np.swapaxes(cols, -1, -2)).sum(axis=0)
-        grads = (gx, gw.reshape(weight.shape))
-        return grads + (None if bias is None else g.sum(axis=(0, 2)),)
+        grads = (gx, gw.reshape(wd.shape))
+        return grads + (None if bd is None else g.sum(axis=(0, 2)),)
 
     y = _record(y, parents, bwd)
     return reshape(y, y.shape[1:]) if squeeze else y

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import struct
 import subprocess
 import sys
 
@@ -9,9 +10,11 @@ import pytest
 import ldrpmnet
 from ldrpmnet import cli
 from ldrpmnet import gradcheck as gradcheck_module
+from ldrpmnet import model as model_module
 from ldrpmnet.cli import cli_dispatch
+from ldrpmnet.config import model_config_to_text, parse_config
 from ldrpmnet.gradcheck import standard_suite
-from ldrpmnet.model import ModelConfig, build, save_checkpoint
+from ldrpmnet.model import CHECKPOINT_MAGIC, ModelConfig, build, save_checkpoint
 
 SMALL_CONFIG = """\
 input_length = 1024
@@ -337,6 +340,40 @@ class TestOsErrors:
         assert cli_dispatch(args) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+
+
+class TestOutOfMemory:
+    # widths whose network would take 29.1 TiB; `build` raises as numpy's
+    # allocation would, so nothing is allocated
+    HUGE = "stage_channels = 16,32,2000000\nmodel_dim = 2000000\n"
+
+    @pytest.fixture(autouse=True)
+    def no_memory(self, monkeypatch):
+        def fail(config, seed=0):
+            raise MemoryError("Unable to allocate 29.1 TiB for an array")
+
+        monkeypatch.setattr(model_module, "build", fail)
+
+    def _assert_runtime_error(self, argv, capsys):
+        assert cli_dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: out of memory: Unable to allocate 29.1 TiB" in err
+        assert "Traceback" not in err
+
+    def test_count(self, tmp_path, capsys):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(self.HUGE)
+        self._assert_runtime_error(
+            ["count", "--model", "ld-rpmnet", "--config", str(cfg)], capsys)
+
+    def test_eval_of_a_checkpoint_declaring_huge_widths(self, tmp_path, capsys):
+        # the loader builds the network before it reads the arrays
+        text = model_config_to_text(parse_config(self.HUGE)[0]).encode()
+        weights = tmp_path / "weights.bin"
+        weights.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(text))
+                            + text + struct.pack("<I", 0))
+        self._assert_runtime_error(
+            ["eval", "--weights", str(weights), "--data", str(tmp_path)], capsys)
 
 
 class TestGradcheck:

@@ -1,3 +1,5 @@
+import collections
+import hashlib
 import platform
 import sys
 import threading
@@ -7,6 +9,8 @@ import weakref
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldrpmnet import tensor as T
 from ldrpmnet.layers import BatchNorm1d
@@ -570,16 +574,15 @@ class TestBackward:
         assert all(t.grad is None for t in (loss, y, boom, h, x))
 
     def test_backward_peak_stays_at_the_end_of_the_forward(self):
-        # a REDUCED batch-16 ld-rpmnet loss holds about 26 MiB of graph;
-        # freeing each node as it runs keeps the peak within 2 MiB of what
-        # the forward left (27 MiB above it while the graph lived to the end)
+        # a REDUCED batch-16 ld-rpmnet loss holds about 18 MiB of graph (36
+        # MiB while nodes held their parent tensors); freeing each node as it
+        # runs keeps the peak within 2 MiB of what the forward left (27 MiB
+        # above it while the graph lived to the end)
         net = build_preset("ld-rpmnet", base=REDUCED_CONFIG, seed=0)
-        rng = np.random.Generator(np.random.Philox(key=17))
-        x = rng.uniform(-1.0, 1.0, size=(16, 1, REDUCED_CONFIG.input_length))
-        labels = np.arange(16) % 10 + 1
+        x = _reduced_batch()
         tracemalloc.start()
         try:
-            loss = T.cross_entropy(net.forward(Tensor(x), mode="train"), labels)
+            loss = _reduced_loss(net, x)
             held, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             loss.backward()
@@ -587,6 +590,7 @@ class TestBackward:
         finally:
             tracemalloc.stop()
         assert T.tape_len() == 0
+        assert held <= 20 << 20, held
         assert peak - held <= 2 << 20, (held, peak)
 
 
@@ -704,7 +708,7 @@ class TestDtypeRule:
         assert y.data.dtype == dtype
         # what the op's backward returns, before `backward` copies a first
         # gradient into its tensor's dtype
-        seq, parents, fn = y._node
+        fn = y._node.fn
         returned = []
 
         def spy(g):
@@ -712,7 +716,7 @@ class TestDtypeRule:
             returned.extend(gr.dtype for gr in grads if gr is not None)
             return grads
 
-        y._node = (seq, parents, spy)
+        y._node.fn = spy
         T.backward(T.tsum(T.mul(y, Tensor(rng.standard_normal(y.shape)))))
         assert returned and set(returned) == {np.dtype(dtype)}
         assert [a.grad.dtype for a in acts] == [dtype] * len(acts)
@@ -743,6 +747,127 @@ class TestDtypeRule:
             assert Tensor(data).data.dtype == np.float64
         assert T.mul(Tensor(x32), 2).data.dtype == np.float32
         assert T.add(Tensor(np.arange(3)), 1).data.dtype == np.float64
+
+
+def _reduced_batch():
+    rng = np.random.Generator(np.random.Philox(key=17))
+    return rng.uniform(-1.0, 1.0, size=(16, 1, REDUCED_CONFIG.input_length))
+
+
+def _reduced_loss(net, x):
+    return T.cross_entropy(net.forward(Tensor(x), mode="train"),
+                           np.arange(16) % 10 + 1)
+
+
+class TestGraphMemory:
+    """A graph keeps only the arrays its backward functions read."""
+
+    # SHA-256 of the parameter gradients of `_reduced_loss`, in parameter
+    # order, as computed while graph nodes held their parent tensors
+    GRADIENTS = {
+        "ld-rpmnet": "3ee202ac886ea4e4a8c5e82de04765eaaa4dea8333e8fa7101b64a652360a0ae",
+        "cnt": "e05f5c545f17c886424dafd9cdaaf4f4d9778ca1ec86fa08931e80196f86e4f1",
+    }
+
+    @pytest.mark.parametrize("preset", sorted(GRADIENTS))
+    def test_gradients_unchanged(self, preset):
+        net = build_preset(preset, base=REDUCED_CONFIG, seed=0)
+        _reduced_loss(net, _reduced_batch()).backward()
+        digest = hashlib.sha256()
+        for _, p in net.parameters():
+            digest.update(p.grad.tobytes())
+        assert digest.hexdigest() == self.GRADIENTS[preset]
+
+    def test_live_loss_holds_no_array_that_no_backward_reads(self, monkeypatch):
+        # conv outputs feed concat or BatchNorm, which save none of them;
+        # gelu keeps its derivative and max_pool1d its taps instead of the input
+        refs = []
+
+        def spy(op, array):
+            def traced(*args, **kwargs):
+                out = op(*args, **kwargs)
+                data = array(args, out)
+                refs.append((op.__name__, weakref.ref(
+                    data if data.base is None else data.base)))
+                return out
+            return traced
+
+        monkeypatch.setattr(T, "conv1d", spy(T.conv1d, lambda args, out: out.data))
+        monkeypatch.setattr(T, "gelu", spy(T.gelu, lambda args, out: args[0].data))
+        monkeypatch.setattr(T, "max_pool1d",
+                            spy(T.max_pool1d, lambda args, out: args[0].data))
+        net = build_preset("ld-rpmnet", base=REDUCED_CONFIG, seed=0)
+        loss = _reduced_loss(net, _reduced_batch())
+        # the stem, and 3 depthwise branches and a pointwise conv per stage;
+        # a gelu after the stem, each stage and each encoder's feed-forward
+        assert collections.Counter(name for name, _ in refs) == {
+            "conv1d": 13, "gelu": 6, "max_pool1d": 3}
+        assert [name for name, ref in refs if ref() is not None] == []
+        assert T.tape_len() == 64
+        loss.backward()
+        assert T.tape_len() == 0
+
+    @pytest.mark.parametrize("case", sorted(_DTYPE_CASES))
+    def test_backward_functions_hold_no_tensor(self, case):
+        # a tensor would keep its data alive whether backward reads it or not
+        rng = np.random.Generator(np.random.Philox(key=19))
+
+        def make(*shape):
+            return Tensor(rng.standard_normal(shape), requires_grad=True)
+
+        fn = _DTYPE_CASES[case](make, make)._node.fn
+        held = [cell.cell_contents for cell in fn.__closure__ or ()]
+        assert not [c for c in held if isinstance(c, Tensor)]
+
+    @pytest.mark.parametrize("op, extra", [
+        ("gelu", 1.0),             # Phi(x) + x * pdf(x), as large as the output
+        ("max_pool1d", 0.125)])    # uint8 taps, an eighth of the float64 output
+    def test_only_a_recorded_forward_builds_what_backward_reads(self, op, extra):
+        run = {"gelu": T.gelu, "max_pool1d": lambda t: T.max_pool1d(t, 4)}[op]
+        data = np.random.default_rng(0).standard_normal((4, 8, 4096))
+
+        def extra_peak(x):
+            tracemalloc.start()
+            try:
+                out = run(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak / out.data.nbytes - (2.0 if op == "gelu" else 1.0)
+
+        with T.no_grad():
+            assert extra_peak(Tensor(data, requires_grad=True)) < 0.05
+        assert extra_peak(Tensor(data)) < 0.05
+        assert extra_peak(Tensor(data, requires_grad=True)) >= extra - 0.05
+        assert T.tape_len() == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel=st.integers(1, 5), windows=st.integers(1, 5),
+           lead=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+           dtype=st.sampled_from([np.float32, np.float64]), data=st.data())
+    def test_max_pool_gradient_matches_first_argmax(self, kernel, windows,
+                                                    lead, dtype, data):
+        # integer values from a small range, so windows often hold ties
+        n = windows * kernel + data.draw(st.integers(0, kernel - 1))
+        ints = st.lists(st.integers(-2, 2), min_size=n * lead[0] * lead[1],
+                        max_size=n * lead[0] * lead[1])
+        x = np.array(data.draw(ints), dtype=dtype).reshape(lead + (n,))
+        # distinct and nonzero, so every window's route shows
+        g = np.arange(1, 1 + windows * lead[0] * lead[1], dtype=dtype)
+        g = g.reshape(lead + (windows,))
+        xt = Tensor(x, requires_grad=True)
+        y = T.max_pool1d(xt, kernel)
+        T.backward(T.tsum(T.mul(y, Tensor(g))))
+
+        m = windows * kernel
+        first = x[..., :m].reshape(lead + (windows, kernel)).argmax(axis=-1)
+        expected = np.zeros(lead + (windows, kernel), dtype=dtype)
+        np.put_along_axis(expected, first[..., None], g[..., None], axis=-1)
+        expected = np.concatenate(
+            [expected.reshape(lead + (m,)), np.zeros(lead + (n - m,), dtype)], axis=-1)
+        assert y.data.dtype == dtype and xt.grad.dtype == dtype
+        assert np.array_equal(y.data, x[..., :m].reshape(lead + (windows, kernel)).max(-1))
+        assert xt.grad.tobytes() == expected.tobytes()
 
 
 def test_tape_node_sizes_while_another_thread_records():
