@@ -52,13 +52,6 @@ class ComplexityReport:
         lines.append(f"{'TOTAL (M)':<{width}}  {pm:>12.2f}  {fm:>14.2f}")
         return "\n".join(lines)
 
-    def to_csv(self) -> str:
-        lines = ["layer,params,flops"]
-        lines += [f"{name},{p},{f}" for name, p, f in self.rows]
-        p, f = self.totals
-        lines.append(f"TOTAL,{p},{f}")
-        return "\n".join(lines) + "\n"
-
 
 def conv1d_flops(n_out: int, c_out: int, c_in_per_group: int, k: int) -> int:
     return MAC_FLOPS * n_out * c_out * c_in_per_group * k

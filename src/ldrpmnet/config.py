@@ -49,17 +49,11 @@ def _parse_lines(text: str) -> dict:
 
 
 def _ints(val: str) -> tuple:
-    return tuple(int(x) for x in val.split(",") if x.strip())
+    return tuple(int(x) for x in val.split(","))      # an empty item raises
 
 
-def _kernel_sets(val: str, n_stages: int) -> tuple:
-    if ";" in val:
-        sets = tuple(_ints(part) for part in val.split(";"))
-        if len(sets) != n_stages:
-            raise ConfigFileError(
-                f"kernel_sizes lists {len(sets)} stages, expected {n_stages}")
-        return sets
-    return (_ints(val),) * n_stages
+def _kernel_sets(val: str) -> tuple:
+    return tuple(_ints(part) for part in val.split(";"))
 
 
 def parse_config(text: str) -> tuple[ModelConfig, TrainConfig]:
@@ -86,10 +80,14 @@ def parse_config(text: str) -> tuple[ModelConfig, TrainConfig]:
         raise ConfigFileError(
             f"pool_strides has {len(pool_strides)} entries, "
             f"stage_channels has {len(stage_channels)}")
-    kernel_default = ";".join(
-        ",".join(str(k) for k in ks) for _, ks, _ in base.stages)
-    kernel_sets = _kernel_sets(
-        get("kernel_sizes", kernel_default), len(stage_channels))
+    kernel_sets = get("kernel_sizes", tuple(ks for _, ks, _ in base.stages),
+                      _kernel_sets)
+    if len(kernel_sets) == 1:                 # one set shared by every stage
+        kernel_sets *= len(stage_channels)
+    if len(kernel_sets) != len(stage_channels):
+        raise ConfigFileError(
+            f"kernel_sizes lists {len(kernel_sets)} stages, "
+            f"expected {len(stage_channels)}")
 
     model = ModelConfig(
         conv_kind=get("conv_kind", base.conv_kind),

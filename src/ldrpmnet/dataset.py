@@ -9,7 +9,7 @@ deliberately hard axes of the task.  A per-sample random stream,
 `rng.stream(seed, sample index)`, makes generation of sample i independent
 of generation order.  Waveforms are float32 in memory and on disk; eval
 runs on them in float32 and training casts them to float64 (see
-`tensor`).
+`model.Network.forward`).
 """
 
 from __future__ import annotations

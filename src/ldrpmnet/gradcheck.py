@@ -34,22 +34,18 @@ def gradcheck(fn, tensors) -> float:
     if not np.isfinite(loss.item()):
         raise FloatingPointError("non-finite loss in gradcheck forward")
     loss.backward()
-    analytic = [t.grad.copy() if t.grad is not None else np.zeros(t.shape)
-                for t in tensors if t.requires_grad]
 
     def scalar():
         with no_grad():
             return float((fn(*tensors).data * proj).sum())
 
     worst = 0.0
-    ai = 0
     for t in tensors:
         if not t.requires_grad:
             continue
-        a = analytic[ai]
-        ai += 1
         flat = t.data.reshape(-1)
-        aflat = a.reshape(-1)
+        # the perturbed forwards run under no_grad, so t.grad stays put
+        aflat = np.zeros(t.size) if t.grad is None else t.grad.reshape(-1)
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + H
@@ -68,18 +64,70 @@ def gradcheck(fn, tensors) -> float:
     return worst
 
 
-def _rand(rng, shape, requires_grad=True):
-    return Tensor(rng.standard_normal(shape), requires_grad=requires_grad)
+def _rand(rng, shape):
+    return Tensor(rng.standard_normal(shape), requires_grad=True)
 
 
-# Names of the `standard_suite` checks, in the order it runs them.
-SUITE_NAMES = (
-    "add", "mul", "matmul", "concat", "mean", "softmax", "gelu", "layer_norm",
-    "linear", "max_pool1d", "conv1d", "conv1d_depthwise", "batchnorm1d",
-    "cross_entropy", "mdsc_block", "standard_block", "bsa_block",
-    "mhsa_block", "full_network", "conv1d_strided_depthwise",
-    "conv1d_grouped",
-)
+def _op(fn, *shapes):
+    """Check of `fn` on fresh inputs of the given shapes."""
+    return lambda seed, rng: (fn, [_rand(rng, s) for s in shapes])
+
+
+def _block(make, x_shape, **forward_kwargs):
+    """Check of block `make(seed)`: its forward on a fresh input, with the
+    block's parameters among the checked tensors."""
+    def builder(seed, rng):
+        blk = make(seed)
+        return (lambda x, *ps: blk.forward(x, **forward_kwargs),
+                [_rand(rng, x_shape)] + [p for _, p in blk.parameters()])
+    return builder
+
+
+# {check name: builder(seed, rng) -> (fn, tensors)}, run in this order.  The
+# builders draw from one shared stream, so a new check goes last: then every
+# check above it draws the inputs it always drew.
+_CHECKS = {
+    "add": _op(T.add, (3, 4), (3, 4)),
+    "mul": _op(T.mul, (3, 4), (1, 4)),
+    "matmul": _op(T.matmul, (3, 4), (4, 2)),
+    "concat": _op(lambda a, b: T.concat([a, b], axis=0), (2, 3), (4, 3)),
+    "mean": _op(lambda a: T.mean(a, axis=1), (3, 5)),
+    "softmax": _op(lambda a: T.softmax(a, axis=-1), (4, 6)),
+    "gelu": _op(T.gelu, (4, 5)),
+    "layer_norm": _op(T.layer_norm, (3, 8), (8,), (8,)),
+    "linear": _op(T.linear, (5, 4), (3, 4), (3,)),
+    "max_pool1d": _op(lambda a: T.max_pool1d(a, 3), (2, 3, 9)),
+    "conv1d": _op(lambda x, w, b: T.conv1d(x, w, b, stride=2, padding=2),
+                  (2, 3, 12), (4, 3, 5), (4,)),
+    "conv1d_depthwise": _op(lambda x, w: T.conv1d(x, w, padding=2, groups=3),
+                            (2, 3, 10), (3, 1, 5)),
+    "batchnorm1d": _op(lambda x, g, b: T.batchnorm1d(x, g, b, T.BnState(3),
+                                                     mode="train"),
+                       (2, 3, 6), (3,), (3,)),
+    "cross_entropy": _op(lambda z: T.cross_entropy(z, np.array([1, 3, 2])),
+                         (3, 4)),
+    "mdsc_block": _block(
+        lambda s: MdscBlock(MdscConfig(3, 4, (3, 5, 7)), seed=s),
+        (2, 3, 16), mode="train"),
+    "standard_block": _block(
+        lambda s: StandardMultiScaleBlock(MdscConfig(3, 4, (3, 5)), seed=s),
+        (2, 3, 12), mode="train"),
+    "bsa_block": _block(lambda s: BsaBlock(model_dim=8, seed=s), (2, 6, 8)),
+    "mhsa_block": _block(lambda s: MhsaBlock(model_dim=8, heads=2, seed=s),
+                         (2, 5, 8)),
+    "full_network": _block(
+        lambda s: build(ModelConfig(
+            conv_kind="mdsc", attn_kind="bsa", input_length=64,
+            stem=(4, 7, 2), stages=((8, (3, 5), 2),), encoder=(1, 8, 2, 2),
+            num_classes=10), seed=s),
+        (2, 1, 64), mode="train"),
+    "conv1d_strided_depthwise": _op(
+        lambda x, w: T.conv1d(x, w, stride=2, padding=1, groups=3),
+        (2, 3, 11), (3, 1, 3)),
+    "conv1d_grouped": _op(lambda x, w, b: T.conv1d(x, w, b, stride=2, groups=2),
+                          (2, 4, 11), (6, 2, 3), (6,)),
+}
+SUITE_NAMES = tuple(_CHECKS)
 
 
 def standard_suite(seed: int = 0, only: str | None = None) -> dict[str, float]:
@@ -89,77 +137,13 @@ def standard_suite(seed: int = 0, only: str | None = None) -> dict[str, float]:
     still drawn in the same order but only that check runs, so its value
     equals the full suite's.
     """
-    if only is not None and only not in SUITE_NAMES:
+    if only is not None and only not in _CHECKS:
         raise ValueError(f"unknown check {only!r}; choose from {SUITE_NAMES}")
 
     rng = stream(seed, 0)
     results: dict[str, float] = {}
-
-    def check(name, fn, tensors):
+    for name, builder in _CHECKS.items():
+        fn, tensors = builder(seed, rng)
         if only in (None, name):
             results[name] = gradcheck(fn, tensors)
-
-    check("add", T.add, [_rand(rng, (3, 4)), _rand(rng, (3, 4))])
-    check("mul", T.mul, [_rand(rng, (3, 4)), _rand(rng, (1, 4))])
-    check("matmul", T.matmul, [_rand(rng, (3, 4)), _rand(rng, (4, 2))])
-    check("concat", lambda a, b: T.concat([a, b], axis=0),
-          [_rand(rng, (2, 3)), _rand(rng, (4, 3))])
-    check("mean", lambda a: T.mean(a, axis=1), [_rand(rng, (3, 5))])
-    check("softmax", lambda a: T.softmax(a, axis=-1), [_rand(rng, (4, 6))])
-    check("gelu", T.gelu, [_rand(rng, (4, 5))])
-    check("layer_norm", T.layer_norm,
-          [_rand(rng, (3, 8)), _rand(rng, (8,)), _rand(rng, (8,))])
-    check("linear", T.linear,
-          [_rand(rng, (5, 4)), _rand(rng, (3, 4)), _rand(rng, (3,))])
-    check("max_pool1d", lambda a: T.max_pool1d(a, 3), [_rand(rng, (2, 3, 9))])
-    check("conv1d", lambda x, w, b: T.conv1d(x, w, b, stride=2, padding=2),
-          [_rand(rng, (2, 3, 12)), _rand(rng, (4, 3, 5)), _rand(rng, (4,))])
-    check("conv1d_depthwise",
-          lambda x, w: T.conv1d(x, w, padding=2, groups=3),
-          [_rand(rng, (2, 3, 10)), _rand(rng, (3, 1, 5))])
-
-    def bn_train(x, g, b):
-        return T.batchnorm1d(x, g, b, T.BnState(3), mode="train")
-
-    check("batchnorm1d", bn_train,
-          [_rand(rng, (2, 3, 6)), _rand(rng, (3,)), _rand(rng, (3,))])
-
-    def ce(logits):
-        return T.cross_entropy(logits, np.array([1, 3, 2]))
-
-    check("cross_entropy", ce, [_rand(rng, (3, 4))])
-
-    mdsc = MdscBlock(MdscConfig(in_channels=3, out_channels=4,
-                                kernel_sizes=(3, 5, 7)), seed=seed)
-    check("mdsc_block", lambda x, *ps: mdsc.forward(x, mode="train"),
-          [_rand(rng, (2, 3, 16))] + [p for _, p in mdsc.parameters()])
-
-    std = StandardMultiScaleBlock(MdscConfig(in_channels=3, out_channels=4,
-                                             kernel_sizes=(3, 5)), seed=seed)
-    check("standard_block", lambda x, *ps: std.forward(x, mode="train"),
-          [_rand(rng, (2, 3, 12))] + [p for _, p in std.parameters()])
-
-    bsa = BsaBlock(model_dim=8, seed=seed)
-    check("bsa_block", lambda x, *ps: bsa.forward(x),
-          [_rand(rng, (2, 6, 8))] + [p for _, p in bsa.parameters()])
-
-    mhsa = MhsaBlock(model_dim=8, heads=2, seed=seed)
-    check("mhsa_block", lambda x, *ps: mhsa.forward(x),
-          [_rand(rng, (2, 5, 8))] + [p for _, p in mhsa.parameters()])
-
-    cfg = ModelConfig(conv_kind="mdsc", attn_kind="bsa", input_length=64,
-                      stem=(4, 7, 2), stages=((8, (3, 5), 2),),
-                      encoder=(1, 8, 2, 2), num_classes=10)
-    net = build(cfg, seed=seed)
-    check("full_network", lambda x, *ps: net.forward(x, mode="train"),
-          [_rand(rng, (2, 1, 64))] + [p for _, p in net.parameters()])
-
-    # last, so every check above draws the inputs it always drew
-    check("conv1d_strided_depthwise",
-          lambda x, w: T.conv1d(x, w, stride=2, padding=1, groups=3),
-          [_rand(rng, (2, 3, 11)), _rand(rng, (3, 1, 3))])
-    check("conv1d_grouped",
-          lambda x, w, b: T.conv1d(x, w, b, stride=2, groups=2),
-          [_rand(rng, (2, 4, 11)), _rand(rng, (6, 2, 3)), _rand(rng, (6,))])
-
     return results

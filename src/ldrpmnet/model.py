@@ -75,6 +75,8 @@ class ModelConfig:
             raise ConfigurationError(f"conv_kind must be standard|mdsc, got {self.conv_kind!r}")
         if self.attn_kind not in ("mhsa", "bsa"):
             raise ConfigurationError(f"attn_kind must be mhsa|bsa, got {self.attn_kind!r}")
+        if not self.stages:
+            raise ConfigurationError("need at least one stage")
         if self.stages[-1][0] != self.encoder[1]:
             raise ConfigurationError(
                 f"last stage width {self.stages[-1][0]} must equal encoder "
@@ -185,19 +187,18 @@ class Network(Module):
     def forward(self, x: Tensor, mode: str = "eval") -> Tensor:
         """Logits [B, num_classes] of input [B, 1, input_length].
 
-        An eval-mode forward of an input that needs no gradient runs over
-        blocks of max(1, _EVAL_BLOCK // input_length) samples and joins
-        their logits in block order; eval mode treats every sample on its
-        own, so the result is that of one pass.  Under no_grad the blocks
-        run on a pool of one thread per usable CPU, made for the call;
-        with grad mode on they run in the calling thread, which records
-        their graph.  Train mode runs as one pass, because its BatchNorm
-        normalizes by whole-batch statistics, and so does an input with
-        requires_grad, as re-wrapping its slices would cut its gradient.
+        An eval-mode forward under no_grad runs over blocks of
+        max(1, _EVAL_BLOCK // input_length) samples and joins their logits
+        in block order; eval mode treats every sample on its own, so the
+        result is that of one pass.  The blocks run on a pool of one thread
+        per usable CPU, made for the call, or in the calling thread if only
+        one CPU is usable.  Any other forward runs as one pass: train mode's
+        BatchNorm normalizes by whole-batch statistics, and with grad mode
+        on the pass records one graph.
 
         Eval mode computes in the input's dtype (see `tensor`).  Train mode
         computes in float64: it casts any other input to a float64 copy,
-        which needs no gradient (ROADMAP item 2b removes the cast).
+        which needs no gradient (ROADMAP item 3 removes the cast).
         """
         if x.ndim != 3 or x.shape[1] != 1:
             raise T.DimensionError(f"expected input [B, 1, N], got {x.shape}")
@@ -208,20 +209,20 @@ class Network(Module):
         if mode == "train" and x.data.dtype != np.float64:
             x = Tensor(x.data.astype(np.float64))
         step = x.shape[0]
-        if mode == "eval" and not x.requires_grad:
+        if mode == "eval" and not T.grad_enabled():
             step = max(1, _EVAL_BLOCK // x.shape[2])
         if step >= x.shape[0]:
             return self._logits(x, mode)
+
+        def block(lo):
+            with T.no_grad():              # grad mode is per thread
+                return self._logits(Tensor(x.data[lo:lo + step]), mode)
+
         starts = range(0, x.shape[0], step)
         workers = min(_usable_cpus(), len(starts))
-        if T.grad_enabled() or workers < 2:
-            outs = [self._logits(Tensor(x.data[lo:lo + step]), mode)
-                    for lo in starts]
+        if workers < 2:
+            outs = [block(lo) for lo in starts]
         else:
-            def block(lo):
-                with T.no_grad():          # grad mode is per thread
-                    return self._logits(Tensor(x.data[lo:lo + step]), mode)
-
             with ThreadPoolExecutor(workers) as pool:
                 outs = list(pool.map(block, starts))
         return T.concat(outs, axis=0)

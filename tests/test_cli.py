@@ -13,7 +13,7 @@ from ldrpmnet import gradcheck as gradcheck_module
 from ldrpmnet import model as model_module
 from ldrpmnet.cli import cli_dispatch
 from ldrpmnet.config import model_config_to_text, parse_config
-from ldrpmnet.gradcheck import standard_suite
+from ldrpmnet.gradcheck import SUITE_NAMES, standard_suite
 from ldrpmnet.model import CHECKPOINT_MAGIC, ModelConfig, build, save_checkpoint
 
 SMALL_CONFIG = """\
@@ -113,6 +113,17 @@ class TestCount:
         assert cli_dispatch(["count", "--model", "cnt", "--config", bad]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        "stage_channels = ,\nkernel_sizes = 3\n", "stage_channels = 8,,64\n",
+        "kernel_sizes = 3,,5\n"])
+    def test_empty_list_item_is_runtime_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert cli_dispatch(["count", "--model", "ld-rpmnet",
+                             "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "error: line 1: bad value" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["count", "train"])
     def test_config_variant_other_than_the_model_is_runtime_error(
@@ -382,6 +393,11 @@ class TestGradcheck:
         assert cli_dispatch(["gradcheck", "--op", "gelu"]) == 0
         out = capsys.readouterr().out
         assert out.splitlines() == [f"{'gelu':<20} max_rel_error {full:.3e}  ok"]
+
+    def test_op_offers_every_check_in_table_order(self, capsys):
+        assert cli_dispatch(["gradcheck", "--help"]) == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "one of: " + ", ".join(SUITE_NAMES) + " --seed" in help_text
 
     def test_unknown_op(self, capsys, monkeypatch):
         def fail(*args, **kwargs):

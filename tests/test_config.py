@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldrpmnet.config import (ConfigFileError, model_config_from_text,
                              model_config_to_text, parse_config)
 from ldrpmnet.model import REDUCED_CONFIG, ModelConfig
+from ldrpmnet.tensor import ConfigurationError
 from ldrpmnet.train import TrainConfig
 
 
@@ -53,6 +56,19 @@ class TestErrors:
             parse_config("stage_channels = 8,8\npool_strides = 4,4\n"
                          "model_dim = 8\nkernel_sizes = 3;5;7\n")
 
+    @pytest.mark.parametrize("key, value", [
+        ("stage_channels", "8,,64"), ("stage_channels", ","),
+        ("stage_channels", "32,64,"), ("pool_strides", "4, ,4"),
+        ("kernel_sizes", "3,,5"), ("kernel_sizes", "3;;5"),
+        ("kernel_sizes", "3,5;3,5;")])
+    def test_empty_list_item_names_the_line(self, key, value):
+        with pytest.raises(ConfigFileError, match=f"line 2: bad value for '{key}'"):
+            parse_config(f"seed = 0\n{key} = {value}\n")
+
+    def test_no_stages_rejected(self):
+        with pytest.raises(ConfigurationError, match="at least one stage"):
+            ModelConfig(stages=())
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("cfg", [
@@ -79,3 +95,33 @@ class TestRoundTrip:
             "pool_strides = 4,4\nmodel_dim = 16\n")
         assert model.stages[0][1] == (3, 5)
         assert model.stages[1][1] == (3, 5)
+
+
+# --------------------------------------------------------------------------
+# fuzzing the parser: only ValueError subclasses may come out
+# --------------------------------------------------------------------------
+
+_VALID_TEXT = (model_config_to_text(REDUCED_CONFIG)
+               + "batch_size = 16\nlearning_rate = 0.001\nepochs = 3\n")
+
+
+@st.composite
+def _mutated_config_text(draw):
+    text = list(_VALID_TEXT)
+    for _ in range(draw(st.integers(0, 4))):      # replace, insert or delete
+        i = draw(st.integers(0, len(text)))
+        text[i:i + draw(st.integers(0, 3))] = draw(st.text(
+            st.sampled_from(",;=# \n-0123456789") | st.characters(), max_size=3))
+    cut = draw(st.integers(0, len(text)))
+    return "".join(text[:cut] if draw(st.booleans()) else text)
+
+
+class TestFuzzedParser:
+    @settings(max_examples=300, deadline=None)
+    @given(text=_mutated_config_text())
+    def test_mutated_config_text(self, text):
+        try:
+            model, _ = parse_config(text)
+        except ValueError:
+            return
+        assert model_config_from_text(model_config_to_text(model)) == model

@@ -81,6 +81,16 @@ def test_full_suite_within_tolerance(monkeypatch):
     assert worst <= 1e-4, {k: v for k, v in results.items() if v > 1e-4}
 
 
+@pytest.fixture(scope="module")
+def suite_at_seed_0():
+    return standard_suite(seed=0)
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_single_check_equals_its_suite_value(suite_at_seed_0, name):
+    assert standard_suite(seed=0, only=name) == {name: suite_at_seed_0[name]}
+
+
 def test_unknown_suite_check_rejected():
     with pytest.raises(ValueError, match="unknown check"):
         standard_suite(seed=0, only="quux")

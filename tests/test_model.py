@@ -78,9 +78,9 @@ class TestForward:
 
 
 class TestEvalBlocks:
-    """Eval-mode forwards in 2-sample blocks over batches of 5; under no_grad
-    the blocks run on one thread per usable CPU, which the pool tests set by
-    patching os.sched_getaffinity."""
+    """No-grad eval-mode forwards in 2-sample blocks over batches of 5, run on
+    one thread per usable CPU, which the pool tests set by patching
+    os.sched_getaffinity."""
 
     @pytest.fixture(autouse=True)
     def two_sample_blocks(self, monkeypatch):
@@ -115,16 +115,6 @@ class TestEvalBlocks:
         T.backward(T.tsum(net.forward(x, mode="eval")))
         assert x.grad is not None
         assert (np.abs(x.grad).sum(axis=(1, 2)) > 0).all()
-
-    def test_blocked_forward_backpropagates_to_parameters(self, monkeypatch):
-        def grads(net):
-            T.backward(T.tsum(net.forward(Tensor(self._batch(63)), mode="eval")))
-            return [p.grad for _, p in net.parameters()]
-
-        blocked = grads(build(SMALL, seed=0))
-        monkeypatch.setattr(model, "_EVAL_BLOCK", 5 * SMALL.input_length)
-        for a, b in zip(blocked, grads(build(SMALL, seed=0))):
-            npt.assert_allclose(a, b, rtol=0, atol=1e-10)
 
     @staticmethod
     def _cpus(monkeypatch, cpus):
@@ -174,7 +164,7 @@ class TestEvalBlocks:
     @pytest.mark.parametrize("cpus, batch, grad", [
         ({0}, 5, False),               # one usable CPU
         ({0, 1}, 1, False),            # one block
-        ({0, 1}, 5, True),             # grad mode records in this thread
+        ({0, 1}, 5, True),             # grad mode records one pass here
     ])
     def test_no_pool_without_two_cpus_two_blocks_and_no_grad(
             self, monkeypatch, cpus, batch, grad):
@@ -192,6 +182,7 @@ class TestEvalBlocks:
             with T.no_grad():
                 out = net.forward(x)
         assert out.shape == (batch, SMALL.num_classes)
+        assert len(seen) == (3 if batch == 5 and not grad else 1)
         assert {ident for ident, _, _ in seen} == {threading.get_ident()}
         assert all(needs == grad for _, _, needs in seen)
 
