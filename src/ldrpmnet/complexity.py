@@ -20,7 +20,7 @@ import numpy as np
 
 from .attention import attention_flops
 from .layers import Conv1d, Linear
-from .model import Network
+from .model import ModelConfig, Network
 
 MAC_FLOPS = 2
 GELU_FLOPS_PER_ELEMENT = 8
@@ -61,9 +61,9 @@ def linear_flops(m: int, n: int, positions: int = 1) -> int:
     return MAC_FLOPS * m * n * positions
 
 
-def count(net: Network) -> ComplexityReport:
-    """Per-layer closed-form counts for a single sample through `net`."""
-    cfg = net.config
+def count_config(cfg: ModelConfig) -> ComplexityReport:
+    """Per-layer closed-form counts for a single sample through a network
+    built from `cfg`, without building one."""
     rows = []
 
     stem_c, stem_k, stem_s = cfg.stem
@@ -118,7 +118,12 @@ def count(net: Network) -> ComplexityReport:
     rows.append(("head.linear", d * cfg.num_classes + cfg.num_classes,
                  linear_flops(d, cfg.num_classes)))
 
-    report = ComplexityReport(rows)
+    return ComplexityReport(rows)
+
+
+def count(net: Network) -> ComplexityReport:
+    """Per-layer closed-form counts for a single sample through `net`."""
+    report = count_config(net.config)
     assert report.totals[0] == net.param_count(), (
         f"closed-form params {report.totals[0]} != allocated {net.param_count()}")
     return report

@@ -80,8 +80,8 @@ def parse_config(text: str) -> tuple[ModelConfig, TrainConfig]:
         raise ConfigFileError(
             f"pool_strides has {len(pool_strides)} entries, "
             f"stage_channels has {len(stage_channels)}")
-    kernel_sets = get("kernel_sizes", tuple(ks for _, ks, _ in base.stages),
-                      _kernel_sets)
+    # the default is one set, so it fits any number of stages
+    kernel_sets = get("kernel_sizes", ((3, 5, 7),), _kernel_sets)
     if len(kernel_sets) == 1:                 # one set shared by every stage
         kernel_sets *= len(stage_channels)
     if len(kernel_sets) != len(stage_channels):

@@ -126,6 +126,7 @@ _CHECKS = {
         (2, 3, 11), (3, 1, 3)),
     "conv1d_grouped": _op(lambda x, w, b: T.conv1d(x, w, b, stride=2, groups=2),
                           (2, 4, 11), (6, 2, 3), (6,)),
+    "max_pool1d_gelu": _op(lambda a: T.max_pool1d(a, 3, gelu=True), (2, 3, 9)),
 }
 SUITE_NAMES = tuple(_CHECKS)
 

@@ -1,9 +1,9 @@
 """Multi-scale depthwise separable convolution block.
 
 Parallel depthwise convolutions at several odd kernel sizes, channel
-concatenation, 1x1 pointwise fusion, BatchNorm, GELU.  "Same" padding keeps
-all branch outputs at the same time extent so the concatenation is
-well-formed.
+concatenation, 1x1 pointwise fusion, BatchNorm, GELU, max pool.  "Same"
+padding keeps all branch outputs at the same time extent so the
+concatenation is well-formed.
 """
 
 from __future__ import annotations
@@ -45,11 +45,14 @@ def mdsc_param_count(config: MdscConfig) -> int:
 
 
 class MdscBlock(Module):
-    """Branches -> concat -> pointwise -> BatchNorm -> GELU.
+    """Branches -> concat -> pointwise -> BatchNorm -> GELU -> max pool.
 
-    The branch convs are depthwise (groups = C1); the cross-channel
-    counterpart, model.StandardMultiScaleBlock, only clears `separable`
-    and names its branches `branch_k{k}` instead of `depthwise_k{k}`.
+    GELU and the pool are one op, `max_pool1d(..., gelu=True)`, which
+    evaluates GELU at each pool window's extremes only; at the default pool
+    of 1 it is GELU itself.  The branch convs are depthwise (groups = C1);
+    the cross-channel counterpart, model.StandardMultiScaleBlock, only
+    clears `separable` and names its branches `branch_k{k}` instead of
+    `depthwise_k{k}`.
     """
 
     separable = True
@@ -73,7 +76,7 @@ class MdscBlock(Module):
                                 bias=True, init=init)
         self.bn = BatchNorm1d(c2)
 
-    def forward(self, x: Tensor, mode: str = "train") -> Tensor:
+    def forward(self, x: Tensor, mode: str = "train", pool: int = 1) -> Tensor:
         if x.shape[-2] != self.config.in_channels:
             raise T.DimensionError(
                 f"input channel axis is {x.shape[-2]}, block expects "
@@ -81,4 +84,4 @@ class MdscBlock(Module):
         z = T.concat([br.forward(x) for br in self.depthwise], axis=-2)
         y = self.pointwise.forward(z)
         y = self.bn.forward(y, mode)
-        return T.gelu(y)
+        return T.max_pool1d(y, pool, gelu=True)

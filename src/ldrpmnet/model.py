@@ -19,6 +19,7 @@ stage0.depthwise_k3.weight or encoder1.attn.w_k.bias.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -230,8 +231,7 @@ class Network(Module):
     def _logits(self, x: Tensor, mode: str) -> Tensor:
         y = T.gelu(self.stem_bn.forward(self.stem.forward(x), mode))
         for blk, pool in self.stages:
-            y = blk.forward(y, mode)
-            y = T.max_pool1d(y, pool)
+            y = blk.forward(y, mode, pool)
         y = T.transpose(y, (0, 2, 1))                  # [B, tokens, d]
         y = T.add(y, self.pos_emb)
         for enc in self.encoder:
@@ -309,6 +309,10 @@ def save_checkpoint(net: Network, path) -> None:
 
 
 def load_checkpoint(path) -> Network:
+    """Network of a `save_checkpoint` file.  Every malformed file raises a
+    ValueError; the parameter count its config declares is checked against
+    the parameter elements present before the network is built."""
+    from .complexity import count_config
     from .config import model_config_from_text
 
     with open(path, "rb") as f:
@@ -334,11 +338,18 @@ def load_checkpoint(path) -> Network:
         name = take(nlen).decode()
         rank, = struct.unpack("<B", take(1))
         shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(rank))
-        size = int(np.prod(shape)) if shape else 1
+        size = math.prod(shape)
         arrays[name] = np.frombuffer(take(8 * size), dtype="<f8").reshape(shape).copy()
     if off != len(blob):
         raise ValueError(
             f"{len(blob) - off} trailing bytes after the last checkpoint tensor")
+    declared = count_config(cfg).totals[0]
+    present = sum(a.size for name, a in arrays.items()
+                  if not name.startswith("buffer."))
+    if present != declared:
+        raise ValueError(
+            f"checkpoint config declares {declared} parameters, "
+            f"the file holds {present}")
     net = build(cfg, seed=0)
     net.load_state_arrays(arrays)
     return net

@@ -100,6 +100,14 @@ class TestCount:
 
         assert totals("cnt") > totals("ld-rpmnet")
 
+    def test_config_without_kernel_sizes_for_two_stages(self, tmp_path, capsys):
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text("stage_channels = 8,64\nmodel_dim = 64\n")
+        assert cli_dispatch(["count", "--model", "ld-rpmnet",
+                             "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert "stage1.depthwise_k7" in out and "stage2" not in out
+
     @pytest.mark.parametrize("key, value", [
         ("stem_channels", "0"), ("stem_kernel", "0"), ("stem_stride", "0"),
         ("pool_strides", "0,4"), ("ffn_expansion", "0"), ("heads", "0")])
@@ -378,13 +386,17 @@ class TestOutOfMemory:
             ["count", "--model", "ld-rpmnet", "--config", str(cfg)], capsys)
 
     def test_eval_of_a_checkpoint_declaring_huge_widths(self, tmp_path, capsys):
-        # the loader builds the network before it reads the arrays
+        # the loader compares the declared parameter count with the arrays
+        # present before it builds, so `build` is never reached
         text = model_config_to_text(parse_config(self.HUGE)[0]).encode()
         weights = tmp_path / "weights.bin"
         weights.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(text))
                             + text + struct.pack("<I", 0))
-        self._assert_runtime_error(
-            ["eval", "--weights", str(weights), "--data", str(tmp_path)], capsys)
+        assert cli_dispatch(["eval", "--weights", str(weights),
+                             "--data", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "error: checkpoint config declares " in err
+        assert "parameters, the file holds 0" in err and "Traceback" not in err
 
 
 class TestGradcheck:

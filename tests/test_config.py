@@ -89,6 +89,14 @@ class TestRoundTrip:
         assert model.stages[0][1] == (3,)
         assert model.stages[1][1] == (3, 5)
 
+    def test_default_kernel_set_is_shared_by_any_stage_count(self):
+        model, _ = parse_config("stage_channels = 8,64\nmodel_dim = 64\n")
+        assert [ks for _, ks, _ in model.stages] == [(3, 5, 7), (3, 5, 7)]
+        # the canonical text still lists one set per stage
+        assert "kernel_sizes = 3,5,7;3,5,7\n" in model_config_to_text(model)
+        assert model == parse_config(
+            "stage_channels = 8,64\nmodel_dim = 64\nkernel_sizes = 3,5,7\n")[0]
+
     def test_shared_kernel_syntax(self):
         model, _ = parse_config(
             "stage_channels = 8,16\nkernel_sizes = 3,5\n"

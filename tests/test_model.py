@@ -3,14 +3,18 @@ import hashlib
 import inspect
 import os
 import platform
+import struct
 import textwrap
 import threading
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ldrpmnet import model
+from ldrpmnet.cli import cli_dispatch
 from ldrpmnet import tensor as T
 from ldrpmnet.mdsc import MdscConfig
 from ldrpmnet.model import (REDUCED_CONFIG, ModelConfig, Network,
@@ -419,3 +423,77 @@ class TestCheckpoint:
             f.write(blob + b"\0")
         with pytest.raises(ValueError, match="1 trailing bytes"):
             load_checkpoint(path)
+
+    def test_declared_size_is_checked_before_build(self, tmp_path, monkeypatch):
+        path, blob = self._saved(tmp_path)
+        n, = struct.unpack("<I", blob[6:10])
+        text = blob[10:10 + n].replace(b"stem_channels = 4", b"stem_channels = 400000")
+        with open(path, "wb") as f:
+            f.write(blob[:6] + struct.pack("<I", len(text)) + text + blob[10 + n:])
+
+        def build_nothing(*args, **kwargs):
+            raise AssertionError("a network was built for a mismatched checkpoint")
+
+        monkeypatch.setattr(model, "build", build_nothing)
+        params = build(SMALL).param_count()
+        with pytest.raises(ValueError, match=f"declares [0-9]+ parameters, "
+                                             f"the file holds {params}"):
+            load_checkpoint(path)
+
+
+_TINY = ModelConfig(input_length=32, stem=(2, 3, 2), stages=((4, (3,), 2),),
+                    encoder=(1, 4, 1, 1), num_classes=2)
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tiny") / "weights.bin"
+    save_checkpoint(build(_TINY, seed=0), path)
+    return path.read_bytes()
+
+
+def _mutate(blob: bytes, data) -> bytes:
+    """Up to 3 replaced bytes, then maybe a cut and a short tail."""
+    blob = bytearray(blob)
+    # most bytes are parameter values: the config text and the first tensor
+    # headers are in the first 300, and a digit there keeps the text valid
+    where = st.one_of(st.integers(0, 300), st.integers(0, len(blob) - 1))
+    byte = st.one_of(st.integers(0, 255), st.sampled_from(b"0123456789"))
+    for _ in range(data.draw(st.integers(0, 3))):
+        blob[data.draw(where)] = data.draw(byte)
+    if data.draw(st.booleans()):
+        cut = data.draw(st.integers(0, len(blob)))
+        return bytes(blob[:cut]) + data.draw(st.binary(max_size=12))
+    return bytes(blob)
+
+
+class TestFuzzedCheckpoint:
+    """Mutated or truncated checkpoint bytes load as a network or raise a
+    ValueError, and `ldrpmnet eval` on them exits with an error line."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_checkpoint(self, tmp_path, tiny_checkpoint, data):
+        path = tmp_path / "weights.bin"
+        path.write_bytes(_mutate(tiny_checkpoint, data))
+        try:
+            net = load_checkpoint(path)
+        except ValueError:
+            pass
+        else:
+            assert isinstance(net, Network)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_cli_exits_without_traceback(self, tmp_path, tiny_checkpoint,
+                                         capsys, data):
+        path = tmp_path / "weights.bin"
+        path.write_bytes(_mutate(tiny_checkpoint, data))
+        # no dataset: a checkpoint that loads fails next, on --data
+        code = cli_dispatch(["eval", "--weights", str(path),
+                             "--data", str(tmp_path / "no-data")])
+        err = capsys.readouterr().err
+        assert code in (1, 2)
+        assert err.startswith("error:") and "Traceback" not in err

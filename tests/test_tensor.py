@@ -11,6 +11,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from ldrpmnet import tensor as T
 from ldrpmnet.layers import BatchNorm1d
@@ -461,6 +462,16 @@ class TestGelu:
         # 1 * Phi(1) from a high-precision erf evaluation (mpmath)
         assert abs(T.gelu(Tensor([1.0])).data[0] - 0.8413447460685429) <= 1e-12
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scalar_input_records(self, dtype):
+        # Phi(1) + pdf(1) = 0.8413... + 0.2419...
+        x = Tensor(np.array(1.0, dtype), requires_grad=True)
+        y = T.gelu(x)
+        y.backward()
+        assert y.shape == x.grad.shape == ()
+        assert abs(y.item() - 0.8413447460685429) <= 1e-6
+        assert abs(float(x.grad) - 1.0833154705876864) <= 1e-6
+
 
 class TestSoftmax:
     def test_symmetry(self):
@@ -663,6 +674,7 @@ _DTYPE_CASES = {
     "tsum": lambda act, par: T.tsum(act(2, 3), axis=1),
     "mean": lambda act, par: T.mean(act(2, 3), axis=0),
     "max_pool1d": lambda act, par: T.max_pool1d(act(2, 3, 8), 2),
+    "max_pool1d-gelu": lambda act, par: T.max_pool1d(act(2, 3, 8), 2, gelu=True),
     "softmax": lambda act, par: T.softmax(act(2, 3)),
     "gelu": lambda act, par: T.gelu(act(2, 3)),
     "layer_norm": lambda act, par: T.layer_norm(act(2, 5), par(5), par(5)),
@@ -799,11 +811,12 @@ class TestGraphMemory:
         net = build_preset("ld-rpmnet", base=REDUCED_CONFIG, seed=0)
         loss = _reduced_loss(net, _reduced_batch())
         # the stem, and 3 depthwise branches and a pointwise conv per stage;
-        # a gelu after the stem, each stage and each encoder's feed-forward
+        # a gelu after the stem and each encoder's feed-forward, and a
+        # gelu-and-pool tail per stage
         assert collections.Counter(name for name, _ in refs) == {
-            "conv1d": 13, "gelu": 6, "max_pool1d": 3}
+            "conv1d": 13, "gelu": 3, "max_pool1d": 3}
         assert [name for name, ref in refs if ref() is not None] == []
-        assert T.tape_len() == 64
+        assert T.tape_len() == 61
         loss.backward()
         assert T.tape_len() == 0
 
@@ -819,26 +832,38 @@ class TestGraphMemory:
         held = [cell.cell_contents for cell in fn.__closure__ or ()]
         assert not [c for c in held if isinstance(c, Tensor)]
 
-    @pytest.mark.parametrize("op, extra", [
-        ("gelu", 1.0),             # Phi(x) + x * pdf(x), as large as the output
-        ("max_pool1d", 0.125)])    # uint8 taps, an eighth of the float64 output
-    def test_only_a_recorded_forward_builds_what_backward_reads(self, op, extra):
-        run = {"gelu": T.gelu, "max_pool1d": lambda t: T.max_pool1d(t, 4)}[op]
+    @pytest.mark.parametrize("op, base, saved", [
+        # no-record peak: the output and ndtr's Phi(x)
+        # saved: Phi(x) + x * pdf(x), as large as the output
+        ("gelu", 2.0, 1.0),
+        # no-record peak: the output; saved: uint8 taps, an eighth of it
+        ("max_pool1d", 1.0, 0.125),
+        # no-record peak: both pooled extremes, and Phi(x) and GELU of one;
+        # saved: the taps, and the derivative at the winners, 1/4 of the input
+        ("max_pool1d-gelu", 4.0, 1.125)],
+        ids=["gelu-1.0", "max_pool1d-0.125", "max_pool1d-gelu-1.125"])
+    def test_only_a_recorded_forward_builds_what_backward_reads(self, op, base,
+                                                                saved):
+        run = {"gelu": T.gelu, "max_pool1d": lambda t: T.max_pool1d(t, 4),
+               "max_pool1d-gelu": lambda t: T.max_pool1d(t, 4, gelu=True)}[op]
         data = np.random.default_rng(0).standard_normal((4, 8, 4096))
 
-        def extra_peak(x):
+        def extra(x):
+            """Peak beyond `base` and bytes held beyond the output, both in
+            output sizes."""
             tracemalloc.start()
             try:
                 out = run(x)
-                peak = tracemalloc.get_traced_memory()[1]
+                held, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            return peak / out.data.nbytes - (2.0 if op == "gelu" else 1.0)
+            return peak / out.data.nbytes - base, held / out.data.nbytes - 1.0
 
         with T.no_grad():
-            assert extra_peak(Tensor(data, requires_grad=True)) < 0.05
-        assert extra_peak(Tensor(data)) < 0.05
-        assert extra_peak(Tensor(data, requires_grad=True)) >= extra - 0.05
+            assert max(extra(Tensor(data, requires_grad=True))) < 0.05
+        assert max(extra(Tensor(data))) < 0.05
+        peak, held = extra(Tensor(data, requires_grad=True))
+        assert peak >= saved - 0.05 and abs(held - saved) < 0.05
         assert T.tape_len() == 0
 
     @settings(max_examples=200, deadline=None)
@@ -868,6 +893,66 @@ class TestGraphMemory:
         assert y.data.dtype == dtype and xt.grad.dtype == dtype
         assert np.array_equal(y.data, x[..., :m].reshape(lead + (windows, kernel)).max(-1))
         assert xt.grad.tobytes() == expected.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel=st.integers(1, 5), windows=st.integers(1, 5),
+           lead=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           ints=st.booleans(), data=st.data())
+    def test_gelu_pool_equals_pool_of_gelu(self, kernel, windows, lead, dtype,
+                                           ints, data):
+        n = windows * kernel + data.draw(st.integers(0, kernel - 1))
+        shape = lead + (n,)
+        size = n * lead[0] * lead[1]
+        if ints:                 # many ties, on both sides of GELU's minimum
+            values = data.draw(st.lists(st.integers(-2, 2), min_size=size,
+                                        max_size=size))
+            x = np.array(values, dtype=dtype).reshape(shape)
+        else:
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            x = rng.standard_normal(shape).astype(dtype)
+        g = np.arange(1, 1 + windows * lead[0] * lead[1], dtype=dtype)
+        g = g.reshape(lead + (windows,))
+
+        def run(fused):
+            xt = Tensor(x, requires_grad=True)
+            y = (T.max_pool1d(xt, kernel, gelu=True) if fused
+                 else T.max_pool1d(T.gelu(xt), kernel))
+            T.backward(T.tsum(T.mul(y, Tensor(g))))
+            # the composition multiplies GELU's derivative into the pool's
+            # zero fill, which leaves -0.0 where the derivative is negative
+            return y.data.tobytes(), (xt.grad + 0.0).tobytes()
+
+        assert run(True) == run(False)
+
+    @pytest.mark.parametrize("dtype, width", [(np.float32, 1e-4), (np.float64, 1e-9)])
+    def test_gelu_pool_tie_goes_to_the_earlier_tap(self, dtype, width):
+        # GELU is flat at its minimum, so computed values there tie exactly;
+        # where a window's extremes tie, the earlier one wins
+        x = np.unique(np.linspace(-0.7518 - width, -0.7518 + width, 201).astype(dtype))
+        y = T.gelu(Tensor(x)).data
+        values, counts = np.unique(y, return_counts=True)
+        a, b = x[y == values[counts > 1][0]][[0, -1]]
+        xt = Tensor(np.array([[a, b, b, a]], dtype=dtype), requires_grad=True)
+        out = T.max_pool1d(xt, 2, gelu=True)
+        T.backward(T.tsum(T.mul(out, Tensor(np.array([[1.0, 2.0]], dtype)))))
+        assert a < b and out.data[0, 0] == out.data[0, 1] == T.gelu(Tensor(a)).data
+        assert xt.grad[0, 1] == xt.grad[0, 3] == 0 and xt.grad[0, 0] != 0
+
+    def test_float64_gelu_is_x_times_ndtr(self):
+        x = np.linspace(-10.0, 10.0, 2_000_001)
+        assert T.gelu(Tensor(x)).data.tobytes() == (x * ndtr(x)).tobytes()
+
+    def test_float32_gelu_and_derivative_on_a_dense_grid(self):
+        x = np.linspace(-10.0, 10.0, 2_000_001).astype(np.float32)
+        xt = Tensor(x, requires_grad=True)
+        y = T.gelu(xt)
+        T.backward(T.tsum(y))          # x.grad is the derivative itself
+        x64 = x.astype(np.float64)
+        deriv = ndtr(x64) + x64 * np.exp(-0.5 * x64 * x64) / np.sqrt(2.0 * np.pi)
+        assert y.data.dtype == xt.grad.dtype == np.float32
+        assert np.abs(y.data - x64 * ndtr(x64)).max() <= 4e-7
+        assert np.abs(xt.grad - deriv).max() <= 4e-7
 
 
 def test_tape_node_sizes_while_another_thread_records():
