@@ -24,7 +24,9 @@ the primitives in this module.  Design points:
 * Tensors are value-semantic and grad mode is per thread.  Shared state: the
   node counter, a weak set of the nodes backward has not run, and the
   process's malloc thresholds and single malloc arena, which importing the
-  module fixes on glibc (see `_keep_freed_heap`).
+  module fixes on glibc (see `_keep_freed_heap`).  The threads of one
+  `sharded` call also share its shard group: train-mode BatchNorm adds
+  its per-channel sums across the shards there, in shard order.
 * The layer ops add their own bias: one graph node per conv or linear layer.
 * GELU is x * Phi(x) in both dtypes: float64 takes Phi from `ndtr`, float32
   from a closed-form erfc approximation at a quarter to a third of the
@@ -42,9 +44,11 @@ the primitives in this module.  Design points:
 from __future__ import annotations
 
 import ctypes
+import functools
 import itertools
 import sys
 import threading
+import traceback
 import weakref
 
 import numpy as np
@@ -55,7 +59,7 @@ __all__ = [
     "no_grad", "grad_enabled", "backward", "tape_len", "tape_node_sizes",
     "add", "mul", "matmul", "reshape", "transpose", "concat",
     "tsum", "mean", "max_pool1d", "softmax", "gelu", "layer_norm",
-    "linear", "conv1d", "batchnorm1d", "cross_entropy", "BnState",
+    "linear", "conv1d", "batchnorm1d", "cross_entropy", "BnState", "sharded",
 ]
 
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
@@ -206,14 +210,28 @@ def _detach(node: _Node) -> None:
     _RECORDED.discard(node)
 
 
-def _pass_grads(parents, fn, grad: np.ndarray) -> None:
+class _LeafGrad:
+    """One shard's gradient of a leaf, kept apart from the leaf's .grad."""
+
+    __slots__ = ("grad", "dtype")
+
+    def __init__(self, dtype):
+        self.grad = None
+        self.dtype = dtype
+
+
+def _pass_grads(parents, fn, grad: np.ndarray, sink=None) -> None:
     """Run one backward function and add its results to the parents.
 
-    A parent's first gradient is copied into the parent's dtype.  Only this
-    frame holds the returned gradients, so they are freed when it returns."""
+    With a `sink` dict, a leaf's gradient goes to its `_LeafGrad` there
+    instead of its .grad.  A parent's first gradient is copied into the
+    parent's dtype.  Only this frame holds the returned gradients, so they
+    are freed when it returns."""
     for p, g in zip(parents, fn(grad)):
         if g is None or p is None:
             continue
+        if sink is not None and type(p) is Tensor:
+            p = sink.setdefault(p, _LeafGrad(p.dtype))
         if p.grad is None:
             # a copy: g may be a view or shared
             p.grad = np.array(g, dtype=p.dtype)
@@ -239,6 +257,14 @@ def backward(loss: "Tensor") -> None:
         raise TapeError(
             "loss holds no autodiff tape (consumed by a previous backward, "
             "or loss was computed under no_grad)")
+    _run_graph(root, np.ones_like(loss.data))
+
+
+def _run_graph(root: _Node, grad: np.ndarray, sink=None) -> None:
+    """`backward`'s loop: run the nodes reachable from `root`, whose
+    gradient is `grad`, newest first, detaching each as it runs; leaf
+    gradients go to the leaves or, given one, to `sink` (see `_pass_grads`).
+    """
     nodes, stack = {root}, [root]
     while stack:
         for p in stack.pop().parents:
@@ -247,14 +273,14 @@ def backward(loss: "Tensor") -> None:
                 stack.append(p)
     order = sorted(nodes, key=lambda node: node.seq, reverse=True)
     del nodes, stack
-    root.grad = np.ones_like(loss.data)
+    root.grad = grad
     try:
         for i in range(len(order)):
             node, order[i] = order[i], None
             parents, fn, grad = node.parents, node.fn, node.grad
             _detach(node)
             if grad is not None:
-                _pass_grads(parents, fn, grad)
+                _pass_grads(parents, fn, grad, sink)
     finally:
         for node in order:
             if node is not None:
@@ -897,7 +923,9 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor, state: BnState,
     arrays in place (weight BN_MOMENTUM), so they stay the objects a module
     recorded as buffers; eval mode normalizes by the stored statistics, as
     one per-channel affine map computed in float64 and cast to the op's
-    dtype.
+    dtype.  In a `sharded` forward, train mode adds its per-channel sums to
+    the other shards' in shard order (the sums, then the centred squares,
+    forward; dg and db backward), and shard 0 alone updates `state`.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if x.ndim != 3:
@@ -927,17 +955,20 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor, state: BnState,
 
         return _record(y, (x, gamma, beta), eval_bwd)
 
-    m = b * n
+    shard = _SHARD.shard
+    total, m = _shard_sum(shard, xd.sum(axis=(0, 2)), b * n)
     if m < 2:
         raise DimensionError(
             f"train-mode batchnorm needs B*N >= 2, got B={b} N={n}")
-    mu = xd.mean(axis=(0, 2))
+    mu = total / m
     xhat = xd - mu[:, None]                # centred here, scaled below
-    var = np.einsum("bcn,bcn->c", xhat, xhat) / m
-    state.mean *= 1.0 - BN_MOMENTUM
-    state.mean += BN_MOMENTUM * mu
-    state.var *= 1.0 - BN_MOMENTUM
-    state.var += BN_MOMENTUM * var * m / max(m - 1, 1)
+    var, = _shard_sum(shard, np.einsum("bcn,bcn->c", xhat, xhat))
+    var /= m
+    if shard is None or shard[1] == 0:     # one update per batch
+        state.mean *= 1.0 - BN_MOMENTUM
+        state.mean += BN_MOMENTUM * mu
+        state.var *= 1.0 - BN_MOMENTUM
+        state.var += BN_MOMENTUM * var * m / max(m - 1, 1)
     inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat *= inv[:, None]
     y = xhat * gd[:, None]
@@ -945,12 +976,14 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor, state: BnState,
 
     def bwd(g):
         # closed form of dL/dx: with dxhat = gamma * g, sum(dxhat) is
-        # gamma * db and sum(dxhat * xhat) is gamma * dg
+        # gamma * db and sum(dxhat * xhat) is gamma * dg, over every shard;
+        # gamma and beta take this shard's dg and db, which `sharded` adds
         dg = np.einsum("bcn,bcn->c", g, xhat)
         db = np.einsum("bcn->c", g)
-        dx = xhat * (-dg / m)[:, None]
+        dg_all, db_all = _shard_sum(shard, dg, db)
+        dx = xhat * (-dg_all / m)[:, None]
         dx += g
-        dx -= (db / m)[:, None]
+        dx -= (db_all / m)[:, None]
         dx *= (gd * inv)[:, None]
         return dx, dg, db
 
@@ -989,3 +1022,121 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         return (g * gz / b,)
 
     return _record(np.mean(lse - picked), (logits,), bwd)
+
+
+# --------------------------------------------------------------------------
+# data-parallel shards
+# --------------------------------------------------------------------------
+
+class _ShardGroup:
+    """The shards of one `sharded` call: a barrier, and one slot per shard
+    for the arrays that train-mode BatchNorm adds across them."""
+
+    def __init__(self, shards: int):
+        self.barrier = threading.Barrier(shards)
+        self.slots = [None] * shards
+
+    def sum(self, index: int, *arrays) -> tuple:
+        """Each of shard `index`'s arrays plus the other shards' same-place
+        arrays, added in shard order, so every shard gets the same bits."""
+        self.slots[index] = arrays
+        self.barrier.wait()
+        totals = tuple(sum(parts[1:], parts[0]) for parts in zip(*self.slots))
+        self.barrier.wait()        # no shard refills its slot before all read
+        return totals
+
+
+class _ShardOf(threading.local):
+    shard = None                   # (group, index) in a `sharded` forward
+
+
+_SHARD = _ShardOf()
+
+
+def _shard_sum(shard, *arrays) -> tuple:
+    """The arrays added across the shards of `shard`, or as they are
+    outside a `sharded` forward (shard None)."""
+    return arrays if shard is None else shard[0].sum(shard[1], *arrays)
+
+
+def _on_threads(barrier: threading.Barrier, fns) -> list:
+    """The results of the `fns`, each run on a thread of its own.
+
+    A fn that raises aborts `barrier`, so those waiting at it raise
+    BrokenBarrierError.  Once every thread has ended, the first fn's error
+    that is not BrokenBarrierError is raised, after the frames of every
+    error are cleared, so that the graphs the fns had recorded are freed.
+    """
+    results, errors = [None] * len(fns), [None] * len(fns)
+
+    def run(i):
+        try:
+            results[i] = fns[i]()
+        except BaseException as exc:
+            errors[i] = exc
+            barrier.abort()
+
+    threads = [threading.Thread(target=run, args=(i,), name=f"shard-{i}")
+               for i in range(len(fns))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    raised = [exc for exc in errors if exc is not None]
+    if not raised:
+        return results
+    results.clear()
+    for exc in raised:
+        traceback.clear_frames(exc.__traceback__)
+    raise next((exc for exc in raised
+                if not isinstance(exc, threading.BrokenBarrierError)), raised[0])
+
+
+def sharded(fn, x: Tensor, params, shards: int = 2) -> Tensor:
+    """fn(x) as `shards` row shards of x (`np.array_split`), each run on a
+    thread of its own in the caller's grad mode, joined along axis 0.
+
+    Train-mode `batchnorm1d` inside fn normalizes by the statistics of all
+    shards and updates its running statistics in shard 0 only.  `params`
+    are the leaves fn reads.  When it records, the join is one node whose
+    parents are x and `params`: its backward runs each shard's graph on a
+    thread of its own, with the leaf gradients kept per shard, then hands
+    x the shards' gradients joined and each parameter its shards'
+    gradients added in shard order.  The result depends on `shards`, never
+    on the CPU count, and differs from one pass of fn over x by rounding.
+    A shard that raises makes the others raise too; the caller gets the
+    first shard's own error, and no thread or graph node of the call
+    outlives it.
+    """
+    x, params = _as_tensor(x), tuple(params)
+    need_gx = x.requires_grad
+    inputs = [Tensor(part, requires_grad=need_gx)
+              for part in np.array_split(x.data, shards)]
+    group, record = _ShardGroup(shards), _GRAD_MODE.enabled
+
+    def forward(i):
+        _GRAD_MODE.enabled = record
+        _SHARD.shard = (group, i)
+        return fn(inputs[i])
+
+    outs = _on_threads(group.barrier,
+                       [functools.partial(forward, i) for i in range(shards)])
+    roots = [out._node for out in outs]
+    rows = np.cumsum([len(out.data) for out in outs])[:-1]
+
+    def bwd(g):
+        sinks = [{} for _ in roots]
+        _on_threads(group.barrier, [
+            functools.partial(_run_graph, root, part, sink)
+            for root, part, sink in zip(roots, np.split(g, rows), sinks)])
+
+        def total(leaf):
+            parts = [sink[leaf].grad for sink in sinks if leaf in sink]
+            return sum(parts[1:], parts[0]) if parts else None
+
+        gx = (np.concatenate([sink[t].grad for sink, t in zip(sinks, inputs)])
+              if need_gx else None)
+        return (gx,) + tuple(total(p) for p in params)
+
+    return _record(np.concatenate([out.data for out in outs]), (x,) + params,
+                   bwd)

@@ -148,11 +148,15 @@ def train(net: Network, sample_set: SampleSet, config: TrainConfig):
     """Epoch loop over the train split with per-epoch validation accuracy.
 
     Returns (net restored to its best-validation state, trace) where trace is
-    a list of (epoch, mean train loss, validation accuracy).
+    a list of (epoch, mean train loss, validation accuracy).  An empty train
+    or validation split raises ValueError.
     """
     train_idx = sample_set.indices("train")
     if len(train_idx) == 0:
         raise ValueError("sample set has no train split; call dataset.split first")
+    if len(sample_set.indices("val")) == 0:
+        raise ValueError("sample set has no val split, so no best-validation "
+                         "weights can be chosen")
     params = net.parameters()
     state = AdamWState(params)
     trace = []

@@ -255,6 +255,21 @@ class TestTrainEval:
         assert "error:" in err and "no samples" in err and "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
+    def test_manifest_without_val_rows_is_runtime_error(self, tmp_path,
+                                                         capsys, shared_data):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in os.listdir(shared_data):
+            (data / name).write_bytes((pathlib.Path(shared_data) / name).read_bytes())
+        manifest = data / "manifest.csv"
+        manifest.write_text(manifest.read_text().replace(",val,", ",train,"))
+        cfg = _write_config(tmp_path)
+        assert cli_dispatch(["train", "--data", str(data), "--model", "ld-rpmnet",
+                             "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "no val split" in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("row, message", [
         ("0,three,train,wav00000.bin", "class id 'three' is not an integer"),
         ("0,1,train,", "file '' is not a file name"),

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from ldrpmnet import model
 from ldrpmnet.cli import cli_dispatch
+from ldrpmnet.gradcheck import gradcheck
 from ldrpmnet import tensor as T
 from ldrpmnet.mdsc import MdscConfig
 from ldrpmnet.model import (REDUCED_CONFIG, ModelConfig, Network,
@@ -103,7 +104,7 @@ class TestEvalBlocks:
                                      for i in range(len(x))])
         npt.assert_allclose(batched, single, rtol=0, atol=1e-12)
 
-    def test_train_mode_is_one_pass(self):
+    def test_two_shards_running_mean_matches_one_pass(self):
         # running statistics start at mean 0; one update with momentum 0.1
         net = build(SMALL, seed=0)
         x = Tensor(self._batch(61))
@@ -213,6 +214,133 @@ class TestEvalBlocks:
         monkeypatch.setattr(Network, "_logits", failing)
         with T.no_grad(), pytest.raises(FloatingPointError, match="block 2"):
             build(SMALL, seed=0).forward(Tensor(x))
+
+
+class TestShardedTrainStep:
+    """Train-mode forwards of more input elements than one block, patched to
+    2 samples here, as two shards on two threads (`tensor.sharded`)."""
+
+    # biases that feed a train-mode BatchNorm, which subtracts them again:
+    # their gradients are rounding noise, compared by size only
+    DEAD_BIASES = ("stem.bias", "stage0.pointwise.bias", "stage1.pointwise.bias")
+
+    @pytest.fixture(autouse=True)
+    def two_sample_blocks(self, monkeypatch):
+        monkeypatch.setattr(model, "_EVAL_BLOCK", 2 * SMALL.input_length)
+
+    @staticmethod
+    def _batch(key, batch=5):
+        rng = np.random.Generator(np.random.Philox(key=key))
+        return rng.standard_normal((batch, 1, SMALL.input_length))
+
+    @staticmethod
+    def _step(x):
+        """Loss, parameter gradients and buffers of one train step."""
+        net = build(SMALL, seed=0)
+        loss = T.cross_entropy(net.forward(Tensor(x), mode="train"),
+                               np.arange(len(x)) % SMALL.num_classes + 1)
+        loss.backward()
+        assert T.tape_len() == 0
+        return (loss.item(), {n: p.grad for n, p in net.parameters()},
+                {n: b.copy() for n, b in net.buffers()})
+
+    @staticmethod
+    def _spy_shards(monkeypatch):
+        """Record the batch of each `_logits` call."""
+        seen = []
+        logits = Network._logits
+
+        def spy(net, x, mode):
+            seen.append(x.shape[0])
+            return logits(net, x, mode)
+
+        monkeypatch.setattr(Network, "_logits", spy)
+        return seen
+
+    def test_gradcheck_of_a_sharded_network(self, monkeypatch):
+        seen = self._spy_shards(monkeypatch)
+        net = build(SMALL, seed=3)
+        params = [p for _, p in net.parameters()]
+        x = Tensor(0.5 * self._batch(80, batch=3), requires_grad=True)
+        worst = gradcheck(lambda x, *ps: net.forward(x, mode="train"),
+                          [x] + params)
+        assert worst <= 1e-4
+        assert sorted(seen[:2]) == [1, 2]         # the shards, in either order
+
+    def test_matches_one_pass_up_to_rounding(self, monkeypatch):
+        x = self._batch(81)
+        seen = self._spy_shards(monkeypatch)
+        loss, grads, buffers = self._step(x)
+        assert sorted(seen) == [2, 3]
+        monkeypatch.setattr(model, "_EVAL_BLOCK", 1 << 30)
+        ref_loss, ref_grads, ref_buffers = self._step(x)
+        assert len(seen) == 3
+        npt.assert_allclose(loss, ref_loss, rtol=1e-14)
+        for name, ref in ref_grads.items():
+            if name in self.DEAD_BIASES:
+                assert np.abs(grads[name]).max() < 1e-14, name
+            else:
+                npt.assert_allclose(grads[name], ref, rtol=0,
+                                    atol=1e-10 * np.abs(ref).max(), err_msg=name)
+        for name, ref in ref_buffers.items():
+            npt.assert_allclose(buffers[name], ref, rtol=0, atol=1e-15,
+                                err_msg=name)
+
+    def test_same_bytes_on_any_cpu_count(self, monkeypatch):
+        x = self._batch(82)
+        runs = []
+        for cpus in ({0}, {0, 1}, {0, 1, 2, 3}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus),
+                                raising=False)
+            runs.append(self._step(x))
+        for loss, grads, buffers in runs[1:]:
+            assert loss == runs[0][0]
+            for name, g in runs[0][1].items():
+                assert np.array_equal(grads[name], g), name
+            for name, b in runs[0][2].items():
+                assert np.array_equal(buffers[name], b), name
+
+    def test_one_sample_is_one_pass(self, monkeypatch):
+        seen = self._spy_shards(monkeypatch)
+        monkeypatch.setattr(model, "_EVAL_BLOCK", SMALL.input_length // 2)
+        self._step(self._batch(83, batch=1))
+        assert seen == [1]
+
+    def test_failing_shard_forward_raises_its_own_error(self, monkeypatch):
+        logits = Network._logits
+
+        def failing(net, x, mode):
+            if len(x.data) == 2:           # the second shard, before its BatchNorm
+                raise FloatingPointError("shard 1 failed")
+            return logits(net, x, mode)    # the first waits at the barrier
+
+        monkeypatch.setattr(Network, "_logits", failing)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="shard 1 failed"):
+            build(SMALL, seed=0).forward(Tensor(self._batch(84)), mode="train")
+        assert threading.active_count() == before
+        assert T.tape_len() == 0
+
+    def test_failing_shard_backward_raises_its_own_error(self, monkeypatch):
+        run_graph = T._run_graph
+
+        def fail(g):
+            raise FloatingPointError("shard 1 backward failed")
+
+        def failing(root, grad, sink=None):
+            if sink is not None and len(grad) == 2:     # the second shard
+                root.fn = fail             # its first node; the first shard
+            return run_graph(root, grad, sink)   # waits at a BatchNorm
+
+        monkeypatch.setattr(T, "_run_graph", failing)
+        net = build(SMALL, seed=0)
+        loss = T.cross_entropy(net.forward(Tensor(self._batch(85)), mode="train"),
+                               np.arange(1, 6))
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="backward failed"):
+            loss.backward()
+        assert threading.active_count() == before
+        assert T.tape_len() == 0
 
 
 class TestDtypes:

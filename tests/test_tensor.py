@@ -430,6 +430,52 @@ class TestBatchNorm:
         npt.assert_allclose(var, 0.9 + 0.1 * x.var(axis=(0, 2), ddof=1),
                             rtol=1e-12)
 
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_sharded_train_matches_one_pass(self, shards):
+        rng = np.random.Generator(np.random.Philox(key=18))
+        x = rng.normal(1.0, 2.0, size=(5, 3, 6))
+        gamma, beta, g = rng.normal(size=3), rng.normal(size=3), rng.normal(size=x.shape)
+        runs = []
+        for split in (False, True):
+            xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
+            state = BnState(3)
+
+            def bn(part):
+                return T.batchnorm1d(part, gt, bt, state, mode="train")
+
+            out = T.sharded(bn, xt, [gt, bt], shards) if split else bn(xt)
+            T.backward(T.tsum(T.mul(out, Tensor(g))))
+            runs.append((out.data, xt.grad, gt.grad, bt.grad, state.mean, state.var))
+        assert T.tape_len() == 0
+        for one_pass, sharded in zip(*runs):
+            npt.assert_allclose(sharded, one_pass, rtol=0, atol=1e-14)
+
+    def test_sharded_train_holds_its_bytes_under_thread_switching(self):
+        # four shards on a 2-core host, switching threads every 10 us: a
+        # shard that read a slot before all were filled, or after one was
+        # refilled, would change the bytes
+        rng = np.random.Generator(np.random.Philox(key=19))
+        x, g = rng.normal(size=(8, 3, 6)), rng.normal(size=(8, 3, 6))
+
+        def step():
+            xt = Tensor(x, requires_grad=True)
+            gt, bt = Tensor(np.ones(3), requires_grad=True), Tensor(np.zeros(3), requires_grad=True)
+            out = T.sharded(lambda part: T.batchnorm1d(part, gt, bt, BnState(3)),
+                            xt, [gt, bt], 4)
+            T.backward(T.tsum(T.mul(out, Tensor(g))))
+            return out.data, xt.grad, gt.grad, bt.grad
+
+        expected = step()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runs = [step() for _ in range(20)]
+        finally:
+            sys.setswitchinterval(interval)
+        for run in runs:
+            for got, want in zip(run, expected):
+                assert np.array_equal(got, want)
+
     def test_eval_gradient_ignores_a_later_train_forward(self):
         rng = np.random.Generator(np.random.Philox(key=17))
         x, g = rng.normal(size=(2, 3, 6)), rng.normal(size=(2, 3, 6))
@@ -691,9 +737,11 @@ _DTYPE_CASES = {
     "cross_entropy": lambda act, par: T.cross_entropy(act(3, 4), [1, 4, 2]),
 }
 
+# `sharded` runs the ops of the function it is given; each leaf gradient its
+# join returns is already in the leaf's dtype
 _NOT_OPS = {"Tensor", "DimensionError", "ConfigurationError", "TapeError",
             "no_grad", "grad_enabled", "backward", "tape_len",
-            "tape_node_sizes", "BnState"}
+            "tape_node_sizes", "BnState", "sharded"}
 
 
 class TestDtypeRule:

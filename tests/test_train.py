@@ -232,6 +232,15 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="empty"):
             evaluate(net, bare)
 
+    def test_empty_val_split_rejected(self, corpus):
+        # with no validation accuracy no epoch would beat the init, and the
+        # untrained weights would come back
+        split = np.where(corpus.split == "val", "train", corpus.split)
+        no_val = dataset.SampleSet(corpus.waveforms, corpus.labels, split)
+        net = build_preset("ld-rpmnet", base=SMALL, seed=0)
+        with pytest.raises(ValueError, match="no val split"):
+            train(net, no_val, TrainConfig(epochs=1))
+
     def test_labels_beyond_the_head_rejected(self, corpus):
         net = build_preset("ld-rpmnet", base=replace(SMALL, num_classes=5), seed=0)
         with pytest.raises(ValueError, match=r"labels 1\.\.10.*classes 1\.\.5"):
